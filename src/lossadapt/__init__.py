@@ -65,7 +65,6 @@ from .trust import (
     LapParams,
     SourceRegistry,
     depression_value,
-    loss_normality_report,
     scale_gradients,
 )
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
@@ -114,7 +113,6 @@ __all__ = [
     "load_csv_dataset",
     "load_idx",
     "loss_and_backward",
-    "loss_normality_report",
     "make_blobs",
     "make_rng",
     "predict",

@@ -49,7 +49,6 @@ class DatasetConfig:
     n_per_class: int = 100
     centers: tuple[tuple[float, ...], ...] | None = None
     spread: float = 1.0
-    fraction_reliable: float = 0.6
     n_test_per_class: int | None = None
     # idx_files
     train_images: str | None = None
@@ -93,7 +92,6 @@ class DatasetConfig:
             n_per_class=self.n_per_class,
             centers=self.centers,
             spread=self.spread,
-            fraction_reliable=self.fraction_reliable,
         )
 
     def test_blob_spec(self) -> BlobSpec:
@@ -103,7 +101,6 @@ class DatasetConfig:
             n_per_class=per_class,
             centers=self.centers,
             spread=self.spread,
-            fraction_reliable=self.fraction_reliable,
         )
 
 
@@ -325,7 +322,6 @@ dataset.n_classes               blobs: number of classes (3)
 dataset.n_per_class             blobs: training points per class (100)
 dataset.centers                 blobs: list of class centers (circle of radius 4)
 dataset.spread                  blobs: cluster standard deviation (1.0)
-dataset.fraction_reliable       blobs: intended reliable share, metadata (0.6)
 dataset.n_test_per_class        blobs: test points per class (n_per_class/4)
 dataset.train_images            idx_files: path to training image file
 dataset.train_labels            idx_files: path to training label file

@@ -69,15 +69,12 @@ class BlobSpec:
 
     ``centers`` defaults to n_classes points evenly spaced on a radius-4
     circle, which keeps classes linearly separable at spread 1.
-    ``fraction_reliable`` does not affect generation; it records the share of
-    sources meant to stay clean when this data is split downstream.
     """
 
     n_classes: int = 3
     n_per_class: int = 100
     centers: tuple[tuple[float, ...], ...] | None = None
     spread: float = 1.0
-    fraction_reliable: float = 0.6
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -88,11 +85,6 @@ class BlobSpec:
             )
         if self.spread < 0:
             raise ConfigError(f"blobs.spread must be >= 0, got {self.spread}")
-        if not 0.0 < self.fraction_reliable <= 1.0:
-            raise ConfigError(
-                f"blobs.fraction_reliable must lie in (0, 1], "
-                f"got {self.fraction_reliable}"
-            )
         if self.centers is not None:
             object.__setattr__(
                 self,

@@ -68,7 +68,6 @@ class MetricsRecord:
     split: str
     accuracy: float
     mean_loss: float
-    gradient_scales: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ class PreparedRun:
     test: Dataset | None
     plan: SourcePlan
     source_ids: tuple[int, ...]
-    registry: SourceRegistry
+    # each source's training items, after upsampling when it is on
+    items_by_source: dict[int, np.ndarray]
     optimizer: LapOptimizer
     params: object
     steps_per_epoch: int
@@ -195,20 +195,21 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
     else:
         source_ids = tuple(range(plan.n_sources))
 
-    registry = SourceRegistry(source_ids, params=config.lap.params())
     optimizer = LapOptimizer(
-        config.optimizer.build(), registry, enabled=config.lap.enabled
+        config.optimizer.build(),
+        SourceRegistry(source_ids, params=config.lap.params()),
+        enabled=config.lap.enabled,
     )
     params = init_params(config.model, child_rng(seed, _STREAM_INIT))
-    sizes = {s: len(plan.items_of(s)) for s in source_ids}
+    items_by_source = {s: plan.items_of(s) for s in source_ids}
     if config.sources.upsample:
-        target = max(sizes.values())
-    else:
-        target = None
-    per_source_steps = {
-        s: math.ceil((target or sizes[s]) / config.training.batch_size)
-        for s in source_ids
-    }
+        upsample_rng = child_rng(seed, _STREAM_SOURCES, 1)
+        target = max(len(v) for v in items_by_source.values())
+        for s in source_ids:
+            items = items_by_source[s]
+            if len(items) < target:
+                extra = upsample_rng.choice(items, size=target - len(items))
+                items_by_source[s] = np.concatenate([items, extra])
     return PreparedRun(
         seed=seed,
         train=train,
@@ -216,10 +217,13 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
         test=test,
         plan=plan,
         source_ids=source_ids,
-        registry=registry,
+        items_by_source=items_by_source,
         optimizer=optimizer,
         params=params,
-        steps_per_epoch=sum(per_source_steps.values()),
+        steps_per_epoch=sum(
+            math.ceil(len(v) / config.training.batch_size)
+            for v in items_by_source.values()
+        ),
     )
 
 
@@ -231,21 +235,11 @@ def total_steps(config: ExperimentConfig, seed: int = 0) -> int:
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     prep = prepare_run(config, seed)
     train, val, test = prep.train, prep.val, prep.test
-    registry, optimizer, params = prep.registry, prep.optimizer, prep.params
+    optimizer, params = prep.optimizer, prep.params
     schedule_rng = child_rng(seed, _STREAM_SCHEDULE)
     corrupt_rng = child_rng(seed, _STREAM_CORRUPT)
     corruption = config.sources.corruption_spec()
     flip_step = config.sources.reliability_flip_step
-    upsample_rng = child_rng(seed, _STREAM_SOURCES, 1)
-
-    items_by_source = {s: prep.plan.items_of(s) for s in prep.source_ids}
-    if config.sources.upsample:
-        target = max(len(v) for v in items_by_source.values())
-        for s in sorted(items_by_source):
-            items = items_by_source[s]
-            if len(items) < target:
-                extra = upsample_rng.choice(items, size=target - len(items))
-                items_by_source[s] = np.concatenate([items, extra])
 
     def corrupt_now(source: int, step: int) -> bool:
         if source not in prep.plan.corrupt_source_ids:
@@ -261,7 +255,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
             for i in schedule_rng.permutation(len(prep.source_ids))
         ]
         batches = _source_batches(
-            items_by_source, config.training.batch_size, schedule_rng
+            prep.items_by_source, config.training.batch_size, schedule_rng
         )
         max_rounds = max(len(b) for b in batches.values())
         for round_idx in range(max_rounds):
@@ -282,22 +276,18 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                         f"source {source}: {exc}"
                     ) from exc
                 optimizer.step(params, grads, loss, source)
-                for s, distrust, scale in registry.snapshot():
+                for s, distrust, scale in optimizer.snapshot():
                     trace.append(
                         TraceRow(
                             step=step,
                             source_id=s,
                             distrust=distrust,
-                            gradient_scale=scale if config.lap.enabled else 1.0,
+                            gradient_scale=scale,
                             is_corrupt=corrupt_now(s, step),
                         )
                     )
                 step += 1
 
-        scales = tuple(
-            registry.gradient_scale(s) if config.lap.enabled else 1.0
-            for s in prep.source_ids
-        )
         for split_name, split_data in (("train", train), ("val", val), ("test", test)):
             if split_data is None:
                 continue
@@ -309,22 +299,18 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                     split=split_name,
                     accuracy=acc,
                     mean_loss=loss,
-                    gradient_scales=scales,
                 )
             )
 
-    final_scales = {
-        s: registry.gradient_scale(s) if config.lap.enabled else 1.0
-        for s in prep.source_ids
-    }
+    final = optimizer.snapshot()
     return RunResult(
         seed=seed,
         records=records,
         trace=trace,
         source_ids=prep.source_ids,
         corrupt_source_ids=prep.plan.corrupt_source_ids,
-        final_scales=final_scales,
-        final_distrust={s: registry.distrust(s) for s in prep.source_ids},
+        final_scales={s: scale for s, _, scale in final},
+        final_distrust={s: distrust for s, distrust, _ in final},
         params=params,
     )
 

@@ -105,9 +105,9 @@ class LapOptimizer:
     are scaled by (1 - d), and the inner optimizer applies its usual rule to
     the scaled gradients.
 
-    With ``enabled=False`` the wrapper still records losses (registry state
-    stays comparable across runs) but always applies unscaled gradients;
-    this is the switch a baseline run flips.
+    With ``enabled=False`` the wrapper still records losses, so distrust
+    walks exactly as it would with the wrapper on, but it always applies
+    unscaled gradients; this is the switch a baseline run flips.
     """
 
     def __init__(self, inner, registry: SourceRegistry, enabled: bool = True):
@@ -119,11 +119,16 @@ class LapOptimizer:
              source: int) -> float:
         """Run one update; returns the gradient scale that was applied."""
         self.registry.record_loss(source, loss)
-        if not self.enabled:
-            self.inner.step(params, grads)
-            return 1.0
-        d = self.registry.depression(source)
+        d = self.registry.depression(source) if self.enabled else 0.0
         if d > 0.0:
             grads = scale_gradients(grads, d)
         self.inner.step(params, grads)
         return 1.0 - d
+
+    def snapshot(self) -> list[tuple[int, float, float]]:
+        """The registry's (source_id, distrust, gradient_scale) rows, with
+        the scale this wrapper applies: 1.0 for every source while disabled."""
+        rows = self.registry.snapshot()
+        if self.enabled:
+            return rows
+        return [(s, distrust, 1.0) for s, distrust, _ in rows]

@@ -106,6 +106,8 @@ class SourceRegistry:
         self._counts = np.zeros(n, dtype=np.int64)
         self._next = np.zeros(n, dtype=np.int64)
         self._distrust = np.zeros(n)
+        # latched by record_loss when the last history fills; never unset
+        self.all_full = False
         self.steps_since_full = 0
 
     @classmethod
@@ -131,6 +133,7 @@ class SourceRegistry:
             row = reg._row[s]
             reg._losses[row] = np.asarray(losses, dtype=np.float64)
             reg._counts[row] = h
+        reg.all_full = True
         for s, r in (distrust or {}).items():
             reg.set_distrust(s, r)
         return reg
@@ -144,10 +147,6 @@ class SourceRegistry:
     @property
     def n_sources(self) -> int:
         return len(self._ids)
-
-    @property
-    def all_full(self) -> bool:
-        return bool((self._counts >= self.params.history_length).all())
 
     def _require(self, source: int) -> int:
         try:
@@ -192,14 +191,15 @@ class SourceRegistry:
         loss = float(loss)
         if not math.isfinite(loss):
             raise DataError(f"loss for source {source} is not finite: {loss}")
-        was_full = self.all_full
         h = self.params.history_length
         self._losses[row, self._next[row]] = loss
         self._next[row] = (self._next[row] + 1) % h
-        if self._counts[row] < h:
-            self._counts[row] += 1
-        if was_full:
+        if self.all_full:
             self.steps_since_full += 1
+        elif self._counts[row] < h:
+            self._counts[row] += 1
+            if self._counts[row] == h:
+                self.all_full = bool((self._counts == h).all())
         # a lone source has no reference statistics; its distrust stays 0
         if self.all_full and self.n_sources >= 2:
             self.update_distrust(source)
@@ -280,9 +280,11 @@ class SourceRegistry:
         """(source_id, distrust, gradient_scale) for every source, in
         registration order. One row per source per step makes the standard
         trace file."""
+        active = self.depression_active
+        strength = self.params.depression_strength
         return [
-            (s, float(self._distrust[i]), self.gradient_scale(s))
-            for i, s in enumerate(self._ids)
+            (s, r, 1.0 - depression_value(r, strength) if active else 1.0)
+            for s, r in zip(self._ids, self._distrust.tolist())
         ]
 
 
@@ -296,57 +298,3 @@ def scale_gradients(grads: GradientSet, depression: float) -> GradientSet:
         raise ValueError(f"depression must lie in [0, 1), got {depression}")
     scale = 1.0 - depression
     return GradientSet(grads.names, [scale * g for g in grads.arrays])
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    """Histogram and moment statistics of one source's loss history."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the history has zero variance and the shape statistics
-        are undefined (reported as NaN)."""
-        return self.variance == 0.0
-
-
-def loss_normality_report(registry: SourceRegistry, source: int) -> NormalityReport:
-    """Distribution diagnostic over a source's full loss history.
-
-    Bins follow the Freedman-Diaconis rule with a floor of 5 bins; skewness
-    and excess kurtosis are the standardized third and fourth sample moments.
-    A rough check that recent losses look normal, the regime the ±1 distrust
-    walk's leniency/probability analysis assumes.
-    """
-    values = registry.history(source)
-    h = registry.params.history_length
-    if len(values) < h:
-        raise StateError(
-            f"history for source {source} holds {len(values)} of {h} entries"
-        )
-    mean = float(values.mean())
-    dev = values - mean
-    m2 = float((dev**2).mean())
-    if m2 == 0.0:
-        edges = np.array([mean - 0.5, mean + 0.5])
-        counts = np.array([len(values)])
-        return NormalityReport(edges, counts, mean, 0.0, math.nan, math.nan)
-    skew = float((dev**3).mean() / m2**1.5)
-    kurt = float((dev**4).mean() / m2**2 - 3.0)
-
-    q1, q3 = np.percentile(values, [25.0, 75.0])
-    iqr = float(q3 - q1)
-    span = float(values.max() - values.min())
-    if iqr > 0.0 and span > 0.0:
-        width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
-        n_bins = max(5, int(math.ceil(span / width)))
-    else:
-        n_bins = 5
-    counts, edges = np.histogram(values, bins=n_bins)
-    return NormalityReport(edges, counts, mean, m2, skew, kurt)

@@ -102,8 +102,6 @@ class TestBlobs:
             {"n_classes": 1},
             {"n_per_class": 0},
             {"spread": -1.0},
-            {"fraction_reliable": 0.0},
-            {"fraction_reliable": 1.5},
             {"n_classes": 2, "centers": ((0.0, 0.0),)},
             {"n_classes": 2, "centers": ((0.0, 0.0), (0.0, 0.0))},
             {"n_classes": 2, "centers": ((0.0, 0.0), (1.0,))},

@@ -17,7 +17,6 @@ from lossadapt.trust import (
     LapParams,
     SourceRegistry,
     depression_value,
-    loss_normality_report,
     scale_gradients,
 )
 
@@ -410,34 +409,74 @@ class TestSeparation:
         assert reg.distrust(0) == 0.0
 
 
-class TestNormalityReport:
-    def test_normal_history_has_small_shape_stats(self):
-        rng = np.random.default_rng(3)
-        h = 500
-        reg = SourceRegistry([0, 1], params=LapParams(history_length=h))
-        for v in rng.normal(2.0, 0.5, h):
-            reg.record_loss(0, v)
-        rep = loss_normality_report(reg, 0)
-        assert not rep.degenerate
-        assert rep.mean == pytest.approx(2.0, abs=0.1)
-        assert abs(rep.skewness) < 0.3
-        assert abs(rep.excess_kurtosis) < 0.6
-        assert rep.counts.sum() == h
-        assert len(rep.bin_edges) == len(rep.counts) + 1
-        assert len(rep.counts) >= 5
 
-    def test_constant_history_flagged_degenerate(self):
-        reg = full_registry(
-            {0: [2.0, 2.0, 2.0], 1: [1.0, 2.0, 3.0]},
-            params=LapParams(history_length=3),
-        )
-        rep = loss_normality_report(reg, 0)
-        assert rep.degenerate
-        assert math.isnan(rep.skewness)
-        assert rep.counts.sum() == 3
+class NaiveRegistry:
+    """The paper's rule over plain Python lists, with no caching: keep each
+    source's last h losses; once every history is full, step the recording
+    source's distrust -1 if its mean is below the 1/(1 + distrust)-weighted
+    mean + leniency * std of every other source's losses, else +1, floored
+    at 0. The gradient scale is 1 - tanh²(0.005 * strength * distrust), or 1
+    until hold_off steps have passed since the histories filled."""
 
-    def test_partial_history_rejected(self):
-        reg = SourceRegistry([0, 1], params=LapParams(history_length=5))
-        reg.record_loss(0, 1.0)
-        with pytest.raises(StateError):
-            loss_normality_report(reg, 0)
+    def __init__(self, n, h, hold_off, leniency, strength=1.0):
+        self.h, self.hold_off = h, hold_off
+        self.leniency, self.strength = leniency, strength
+        self.losses = [[] for _ in range(n)]
+        self.distrust = [0.0] * n
+        self.steps_since_full = 0
+
+    def full(self):
+        return all(len(row) == self.h for row in self.losses)
+
+    def record(self, s, loss):
+        if self.full():
+            self.steps_since_full += 1
+        self.losses[s] = (self.losses[s] + [loss])[-self.h:]
+        if not self.full() or len(self.losses) < 2:
+            return
+        pairs = [
+            (1.0 / (1.0 + self.distrust[j]), v)
+            for j, row in enumerate(self.losses) if j != s for v in row
+        ]
+        total = sum(w for w, _ in pairs)
+        mean = sum(w * v for w, v in pairs) / total
+        std = math.sqrt(sum(w * (v - mean) ** 2 for w, v in pairs) / total)
+        own = sum(self.losses[s]) / self.h
+        step = -1.0 if own < mean + self.leniency * std else 1.0
+        self.distrust[s] = max(self.distrust[s] + step, 0.0)
+
+    def scale(self, s):
+        if not self.full() or self.steps_since_full < self.hold_off:
+            return 1.0
+        t = math.tanh(0.005 * self.strength * self.distrust[s])
+        return 1.0 - min(t * t, math.nextafter(1.0, 0.0))
+
+
+@st.composite
+def loss_streams(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    step = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=40).map(lambda k: k / 8),
+    )
+    return n, draw(st.lists(step, max_size=120))
+
+
+class TestNaiveOracle:
+    @given(
+        stream=loss_streams(),
+        h=st.integers(min_value=2, max_value=6),
+        hold_off=st.integers(min_value=0, max_value=4),
+        leniency=st.sampled_from([0.1, 0.5, 0.8, 1.3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_registry_matches_naive_rule(self, stream, h, hold_off, leniency):
+        n, steps = stream
+        params = LapParams(leniency=leniency, history_length=h, hold_off=hold_off)
+        reg = SourceRegistry(range(n), params=params)
+        naive = NaiveRegistry(n, h, hold_off, leniency)
+        for s, loss in steps:
+            reg.record_loss(s, loss)
+            naive.record(s, loss)
+            assert tuple(reg.distrust(j) for j in range(n)) == tuple(naive.distrust)
+            assert reg.gradient_scale(s) == naive.scale(s)
