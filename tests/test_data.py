@@ -102,6 +102,8 @@ class TestBlobs:
             {"n_classes": 1},
             {"n_per_class": 0},
             {"spread": -1.0},
+            {"n_classes": 2, "centers": ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))},
+            {"n_classes": 3, "centers": ((0.0, 0.0), (1.0, 0.0), (0.0, 0.0))},
             {"n_classes": 2, "centers": ((0.0, 0.0),)},
             {"n_classes": 2, "centers": ((0.0, 0.0), (0.0, 0.0))},
             {"n_classes": 2, "centers": ((0.0, 0.0), (1.0,))},
