@@ -44,7 +44,8 @@ def main() -> None:
             "output_dir": args.out,
         }
     )
-    flip = int(total_steps(config) * args.flip_fraction)
+    steps = total_steps(config)
+    flip = int(steps * args.flip_fraction)
     from dataclasses import replace
 
     config = config.replace(
@@ -52,14 +53,13 @@ def main() -> None:
     )
     result = run_experiment(config)
 
-    print(f"flip at step {flip} of {total_steps(config)}")
+    print(f"flip at step {flip} of {steps}")
     finals = []
     for run in result.runs:
         flipped = sorted(run.corrupt_source_ids)
         scales = [run.final_scales[s] for s in flipped]
-        trough = min(
-            row.gradient_scale for row in run.trace if row.source_id in flipped
-        )
+        columns = [run.trace.source_ids.index(s) for s in flipped]
+        trough = run.trace.gradient_scales()[:, columns].min()
         finals.append(np.mean(scales))
         print(
             f"seed {run.seed}: flipped {flipped} trough scale {trough:.3f} "

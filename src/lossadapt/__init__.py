@@ -42,6 +42,7 @@ from .experiment import (
     ExperimentResult,
     MetricsRecord,
     RunResult,
+    Trace,
     TraceRow,
     run_experiment,
     run_single,
@@ -98,6 +99,7 @@ __all__ = [
     "SourcePlan",
     "SourceRegistry",
     "StateError",
+    "Trace",
     "TraceRow",
     "UnknownSourceError",
     "WalkerConfig",

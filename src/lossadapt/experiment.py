@@ -38,7 +38,7 @@ from .errors import ConfigError, NumericError
 from .models import Batch, evaluate, init_params, loss_and_backward
 from .optim import LapOptimizer
 from .rng import child_rng
-from .trust import LapParams, SourceRegistry
+from .trust import LapParams, SourceRegistry, depression_value
 
 METRICS_CSV_COLUMNS = ("seed", "epoch", "split", "accuracy", "mean_loss")
 TRACE_CSV_COLUMNS = ("step", "source_id", "distrust", "gradient_scale", "is_corrupt")
@@ -79,11 +79,72 @@ class TraceRow:
     is_corrupt: bool
 
 
+class Trace:
+    """Every source's distrust after every optimizer step of one run.
+
+    Held as arrays: one float64 and one flag per step and source, and one
+    flag per step. Gradient scales are derived from distrust once per
+    distinct level. Iterating yields the rows of the trace file as
+    :class:`TraceRow`, step by step, sources in registration order.
+
+    distrust            float64 (steps, n_sources)
+    depression_applied  bool (steps,): the step's gradients were scaled by
+                        1 - depression; when false, every scale is 1.0
+    is_corrupt          bool (steps, n_sources): the source's data counts
+                        as corrupt at that step (before the reliability flip)
+    """
+
+    def __init__(
+        self,
+        source_ids,
+        steps: int,
+        depression_strength: float,
+        corrupt_source_ids,
+        flip_step: int | None,
+    ):
+        self.source_ids = tuple(source_ids)
+        self.depression_strength = depression_strength
+        n = len(self.source_ids)
+        self.distrust = np.zeros((steps, n))
+        self.depression_applied = np.zeros(steps, dtype=bool)
+        self.is_corrupt = np.zeros((steps, n), dtype=bool)
+        self.is_corrupt[:flip_step] = [s in corrupt_source_ids for s in self.source_ids]
+
+    def levels(self) -> tuple[list[float], list[float], np.ndarray]:
+        """The distinct distrust levels, the gradient scale of each while
+        depression applies, and every cell's index into both."""
+        values, index = np.unique(self.distrust.ravel(), return_inverse=True)
+        values = values.tolist()
+        strength = self.depression_strength
+        scales = [1.0 - depression_value(v, strength) for v in values]
+        return values, scales, index.reshape(self.distrust.shape)
+
+    def gradient_scales(self) -> np.ndarray:
+        """(steps, n_sources) gradient scale of every source at every step."""
+        _, scales, index = self.levels()
+        return np.where(
+            self.depression_applied[:, None], np.array(scales)[index], 1.0
+        )
+
+    def __len__(self) -> int:
+        return self.distrust.size
+
+    def __iter__(self):
+        values, scales, index = self.levels()
+        ids = self.source_ids
+        rows = zip(
+            self.depression_applied.tolist(), index.tolist(), self.is_corrupt.tolist()
+        )
+        for step, (applied, levels, corrupt) in enumerate(rows):
+            for s, k, c in zip(ids, levels, corrupt):
+                yield TraceRow(step, s, values[k], scales[k] if applied else 1.0, c)
+
+
 @dataclass
 class RunResult:
     seed: int
     records: list[MetricsRecord]
-    trace: list[TraceRow]
+    trace: Trace
     source_ids: tuple[int, ...]
     corrupt_source_ids: frozenset[int]
     final_scales: dict[int, float]
@@ -236,18 +297,22 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     prep = prepare_run(config, seed)
     train, val, test = prep.train, prep.val, prep.test
     optimizer, params = prep.optimizer, prep.params
+    registry = optimizer.registry
     schedule_rng = child_rng(seed, _STREAM_SCHEDULE)
     corrupt_rng = child_rng(seed, _STREAM_CORRUPT)
     corruption = config.sources.corruption_spec()
-    flip_step = config.sources.reliability_flip_step
-
-    def corrupt_now(source: int, step: int) -> bool:
-        if source not in prep.plan.corrupt_source_ids:
-            return False
-        return flip_step is None or step < flip_step
+    trace = Trace(
+        prep.source_ids,
+        config.training.epochs * prep.steps_per_epoch,
+        registry.params.depression_strength,
+        prep.plan.corrupt_source_ids,
+        config.sources.reliability_flip_step,
+    )
+    # the trace's flags are the corruption schedule the batches follow
+    corrupt_at = trace.is_corrupt
+    column = {s: i for i, s in enumerate(prep.source_ids)}
 
     records: list[MetricsRecord] = []
-    trace: list[TraceRow] = []
     step = 0
     for epoch in range(config.training.epochs):
         source_order = [
@@ -264,7 +329,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                     continue
                 idx = batches[source][round_idx]
                 batch = Batch(train.x[idx], train.y[idx], source)
-                if corrupt_now(source, step):
+                if corrupt_at[step, column[source]]:
                     batch = apply_corruption(
                         batch, corruption, train.n_classes, corrupt_rng
                     )
@@ -276,16 +341,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                         f"source {source}: {exc}"
                     ) from exc
                 optimizer.step(params, grads, loss, source)
-                for s, distrust, scale in optimizer.snapshot():
-                    trace.append(
-                        TraceRow(
-                            step=step,
-                            source_id=s,
-                            distrust=distrust,
-                            gradient_scale=scale,
-                            is_corrupt=corrupt_now(s, step),
-                        )
-                    )
+                trace.distrust[step] = registry.distrust_levels
+                trace.depression_applied[step] = optimizer.depression_applied
                 step += 1
 
         for split_name, split_data in (("train", train), ("val", val), ("test", test)):
@@ -325,20 +382,26 @@ def write_metrics_csv(records: list[MetricsRecord], path) -> None:
             )
 
 
-def write_trace_csv(trace: list[TraceRow], path) -> None:
+def write_trace_csv(trace: Trace, path) -> None:
+    """The trace as CSV, in the ``csv.writer`` dialect: ``%g`` distrust,
+    ``.10g`` scale, 0/1 corrupt flag, ``\\r\\n`` line ends."""
+    values, scales, index = trace.levels()
+    n = len(values)
+    # each line after "step,source_id," is one of four texts per distrust
+    # level, picked by the step's depression flag and the corrupt flag
+    tails = [
+        f"{v:g},{s:.10g},{corrupt}\r\n"
+        for level_scales in ([1.0] * n, scales)
+        for corrupt in (0, 1)
+        for v, s in zip(values, level_scales)
+    ]
+    codes = index + n * (2 * trace.depression_applied[:, None] + trace.is_corrupt)
+    heads = [f",{s}," for s in trace.source_ids]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for t in trace:
-            writer.writerow(
-                [
-                    t.step,
-                    t.source_id,
-                    f"{t.distrust:g}",
-                    f"{t.gradient_scale:.10g}",
-                    int(t.is_corrupt),
-                ]
-            )
+        fh.write(",".join(TRACE_CSV_COLUMNS) + "\r\n")
+        for step, row in enumerate(codes.tolist()):
+            prefix = str(step)
+            fh.write("".join([prefix + h + tails[k] for h, k in zip(heads, row)]))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:

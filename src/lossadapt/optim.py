@@ -125,6 +125,12 @@ class LapOptimizer:
         self.inner.step(params, grads)
         return 1.0 - d
 
+    @property
+    def depression_applied(self) -> bool:
+        """Whether ``step`` scales gradients now: the wrapper is enabled and
+        the registry is past warm-up and hold-off."""
+        return self.enabled and self.registry.depression_active
+
     def snapshot(self) -> list[tuple[int, float, float]]:
         """The registry's (source_id, distrust, gradient_scale) rows, with
         the scale this wrapper applies: 1.0 for every source while disabled."""

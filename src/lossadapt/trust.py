@@ -103,9 +103,18 @@ class SourceRegistry:
         h = self.params.history_length
         n = len(ids)
         self._losses = np.zeros((n, h))
-        self._counts = np.zeros(n, dtype=np.int64)
-        self._next = np.zeros(n, dtype=np.int64)
+        # ring-buffer bookkeeping as Python ints: numpy scalar arithmetic
+        # costs more than the update it serves
+        self._counts = [0] * n
+        self._next = [0] * n
         self._distrust = np.zeros(n)
+        self._distrust_view = self._distrust.view()
+        self._distrust_view.flags.writeable = False
+        # each row's peers, in row order, for the reference statistics
+        self._peers = [
+            np.array([j for j in range(n) if j != row], dtype=np.intp)
+            for row in range(n)
+        ]
         # latched by record_loss when the last history fills; never unset
         self.all_full = False
         self.steps_since_full = 0
@@ -160,17 +169,23 @@ class SourceRegistry:
         """Entries recorded for ``source`` so far, oldest to newest."""
         row = self._require(source)
         h = self.params.history_length
-        count = int(self._counts[row])
+        count = self._counts[row]
         if count < h:
             return self._losses[row, :count].copy()
-        nxt = int(self._next[row])
+        nxt = self._next[row]
         return np.concatenate([self._losses[row, nxt:], self._losses[row, :nxt]])
 
     def history_len(self, source: int) -> int:
-        return int(self._counts[self._require(source)])
+        return self._counts[self._require(source)]
 
     def distrust(self, source: int) -> float:
         return float(self._distrust[self._require(source)])
+
+    @property
+    def distrust_levels(self) -> np.ndarray:
+        """Every source's distrust, in registration order, as a read-only
+        view that follows the registry's updates."""
+        return self._distrust_view
 
     def set_distrust(self, source: int, value: float) -> None:
         """Overwrite a source's distrust level (analysis/testing hook)."""
@@ -192,14 +207,15 @@ class SourceRegistry:
         if not math.isfinite(loss):
             raise DataError(f"loss for source {source} is not finite: {loss}")
         h = self.params.history_length
-        self._losses[row, self._next[row]] = loss
-        self._next[row] = (self._next[row] + 1) % h
+        nxt = self._next[row]
+        self._losses[row, nxt] = loss
+        self._next[row] = (nxt + 1) % h
         if self.all_full:
             self.steps_since_full += 1
         elif self._counts[row] < h:
             self._counts[row] += 1
             if self._counts[row] == h:
-                self.all_full = bool((self._counts == h).all())
+                self.all_full = all(c == h for c in self._counts)
         # a lone source has no reference statistics; its distrust stays 0
         if self.all_full and self.n_sources >= 2:
             self.update_distrust(source)
@@ -219,9 +235,9 @@ class SourceRegistry:
         if not self.all_full:
             raise StateError("all histories must be full before computing stats")
         h = self.params.history_length
-        keep = np.arange(self.n_sources) != row
-        losses = self._losses[keep]
-        weights = 1.0 / (1.0 + self._distrust[keep])
+        peers = self._peers[row]
+        losses = self._losses[peers]
+        weights = 1.0 / (1.0 + self._distrust[peers])
         denom = h * weights.sum()
         mean = float((weights[:, None] * losses).sum() / denom)
         dev = losses - mean
@@ -278,8 +294,7 @@ class SourceRegistry:
 
     def snapshot(self) -> list[tuple[int, float, float]]:
         """(source_id, distrust, gradient_scale) for every source, in
-        registration order. One row per source per step makes the standard
-        trace file."""
+        registration order."""
         active = self.depression_active
         strength = self.params.depression_strength
         return [

@@ -1,10 +1,15 @@
 import csv
 import filecmp
 import hashlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lossadapt import experiment, optim
 from lossadapt.config import config_from_dict, load_config
 from lossadapt.errors import ConfigError, NumericError
 from lossadapt.experiment import (
@@ -20,6 +25,7 @@ from lossadapt.experiment import (
     sweep,
     total_steps,
     write_sweep_csv,
+    write_trace_csv,
 )
 from lossadapt.models import evaluate
 
@@ -146,6 +152,10 @@ class TestFlipAndFlags:
                 assert row.is_corrupt == (row.step < 10)
             else:
                 assert not row.is_corrupt
+        trace = result.trace
+        corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
+        assert (trace.is_corrupt[:10] == corrupt).all()
+        assert not trace.is_corrupt[10:].any()
 
     def test_flip_lets_distrust_recover(self):
         config = small_config(
@@ -206,6 +216,35 @@ class TestFlipAndFlags:
         assert total_steps(config) == prep.steps_per_epoch
         result = run_single(config, 0)
         assert len(result.trace) == prep.steps_per_epoch * len(prep.source_ids)
+
+
+class TestTrace:
+    def test_last_step_matches_final_state(self):
+        result = run_single(small_config(), 0)
+        trace = result.trace
+        assert trace.distrust[-1].tolist() == [
+            result.final_distrust[s] for s in trace.source_ids
+        ]
+        assert trace.gradient_scales()[-1].tolist() == [
+            result.final_scales[s] for s in trace.source_ids
+        ]
+        assert min(result.final_scales.values()) < 1.0
+
+    def test_scales_are_one_until_depression_applies(self):
+        trace = run_single(small_config(lap={"hold_off": 20}), 0).trace
+        applied = trace.depression_applied
+        first = int(np.argmax(applied))
+        assert first > 0 and applied[first:].all()
+        scales = trace.gradient_scales()
+        # distrust walks during warm-up and hold-off; the scales stay 1.0
+        assert (trace.distrust[:first] > 0.0).any()
+        assert (scales[:first] == 1.0).all()
+        assert (scales[first:] < 1.0).any()
+
+        off = run_single(small_config(lap={"enabled": False}), 0).trace
+        assert (off.distrust > 0.0).any()
+        assert not off.depression_applied.any()
+        assert (off.gradient_scales() == 1.0).all()
 
 
 class TestPersistence:
@@ -399,3 +438,52 @@ def test_outputs_match_golden_hashes(variant, tmp_path):
         for name in ("metrics.csv", "trace_seed0.csv", "trace_seed1.csv")
     )
     assert hashes == GOLDEN_HASHES[variant]
+
+
+@pytest.mark.parametrize("variant", ["lap_off", "hold_off", "flip"])
+def test_trace_csv_matches_csv_writer_rendering(variant, tmp_path):
+    trace = run_single(golden_config(variant), 0).trace
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_CSV_COLUMNS)
+        for row in trace:
+            writer.writerow([
+                row.step,
+                row.source_id,
+                f"{row.distrust:g}",
+                f"{row.gradient_scale:.10g}",
+                int(row.is_corrupt),
+            ])
+    reference = (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "trace.csv").read_bytes() == reference
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_hooks_exist(tmp_path, monkeypatch):
+    # perfbench/run.py --trace 1 wraps package functions by name; a rename
+    # or removal must fail here first
+    monkeypatch.setattr(sys, "path", list(sys.path))  # worker.py extends it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", PERFBENCH / "worker.py"
+    )
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    owners = (
+        experiment, optim, optim.LapOptimizer, optim.Adam, optim.SGD,
+        experiment.SourceRegistry,
+    )
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = worker.Tracer()
+    worker._install_tracer(tracer)
+    try:
+        run_experiment(small_config(), out_dir=tmp_path)
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in owners] == before
+    calls = Counter(name for name, _, _, _ in tracer.spans())
+    assert set(calls) == set(tracer.names)
+    # the trace is recorded as arrays; only the final state is snapshotted
+    assert calls["trust.snapshot"] == 1
