@@ -1,9 +1,13 @@
 """Dense differentiable models: multinomial logistic regression and MLPs.
 
 Everything is float64 and built on 2-D row-major numpy arrays. Parameters and
-gradients live in :class:`ParameterSet`, an ordered, named list of arrays,
-so optimizers can treat any model as a flat list. The backward pass is
-hand-derived for the dense/relu/softmax stack; no general autodiff.
+gradients live in :class:`ParameterSet`: one contiguous vector ``flat`` with
+an ordered, named list of reshaped views into it (``arrays``). The layout,
+each parameter's shape and offset, is computed once per model and shared by
+the parameters and every gradient set, so optimizers work on whole vectors
+and layers on matrices. ``loss_and_backward`` writes each call's gradients
+into a new vector of that layout. The backward pass is hand-derived for the
+dense/relu/softmax stack; no general autodiff.
 """
 
 from __future__ import annotations
@@ -69,17 +73,59 @@ class ModelSpec:
         return len(self.layer_widths) - 1
 
 
-@dataclass
+class _Layout:
+    """Shapes of a parameter list and the slice of the flat vector each one
+    occupies. Computed once per model: every set derived with
+    :meth:`ParameterSet.with_flat` shares the object, so their congruence
+    check is an identity test."""
+
+    def __init__(self, shapes: list[tuple[int, ...]]):
+        self.shapes = [tuple(int(d) for d in shape) for shape in shapes]
+        self.bounds: list[tuple[int, int]] = []
+        end = 0
+        for shape in self.shapes:
+            start, end = end, end + math.prod(shape)
+            self.bounds.append((start, end))
+        self.size = end
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """One reshaped view of ``flat`` per parameter, in order."""
+        return [
+            flat[start:end].reshape(shape)
+            for (start, end), shape in zip(self.bounds, self.shapes)
+        ]
+
+
 class ParameterSet:
-    """Ordered, named collection of float64 matrices.
+    """Ordered, named collection of float64 matrices stored in one vector.
 
     Order is fixed at construction (``w0, b0, w1, b1, ...``) and is the
-    contract between models and optimizers. The same container carries
-    gradients; see :data:`GradientSet`.
+    contract between models and optimizers. ``flat`` is one contiguous
+    float64 vector holding every entry in that order, and ``arrays`` are
+    reshaped views into it, so a write through either shows in both. The
+    constructor copies the caller's arrays into a new vector. The same
+    container carries gradients; see :data:`GradientSet`.
     """
 
-    names: tuple[str, ...]
-    arrays: list[np.ndarray]
+    def __init__(self, names, arrays):
+        layout = _Layout([np.shape(a) for a in arrays])
+        self._bind(tuple(names), layout, np.empty(layout.size))
+        for view, a in zip(self.arrays, arrays):
+            view[...] = a
+
+    def _bind(self, names: tuple[str, ...], layout: _Layout,
+              flat: np.ndarray) -> None:
+        self.names = names
+        self._layout = layout
+        self.flat = flat
+        self.arrays = layout.views(flat)
+
+    def with_flat(self, flat: np.ndarray) -> "ParameterSet":
+        """A set with these names and this layout whose values live in
+        ``flat`` itself, not in a copy of it."""
+        out = object.__new__(ParameterSet)
+        out._bind(self.names, self._layout, flat)
+        return out
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(zip(self.names, self.arrays))
@@ -88,16 +134,13 @@ class ParameterSet:
         return len(self.arrays)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.names, [a.copy() for a in self.arrays])
+        return self.with_flat(self.flat.copy())
 
     def shapes(self) -> list[tuple[int, ...]]:
-        return [a.shape for a in self.arrays]
+        return list(self._layout.shapes)
 
     def n_values(self) -> int:
-        return sum(a.size for a in self.arrays)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(a * a)) for a in self.arrays))
+        return self.flat.size
 
 
 # Gradients use the same container as parameters, shape-congruent entry by
@@ -120,7 +163,9 @@ class Batch:
 
 def check_congruent(params: ParameterSet, grads: GradientSet) -> None:
     """Raise ShapeError unless grads matches params entry for entry."""
-    if len(params) != len(grads) or params.shapes() != grads.shapes():
+    if grads._layout is params._layout:
+        return
+    if params.shapes() != grads.shapes():
         raise ShapeError(
             f"gradient shapes {grads.shapes()} do not match parameter shapes "
             f"{params.shapes()}"
@@ -263,15 +308,16 @@ def loss_and_backward(
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    grads: list[np.ndarray] = [np.empty(0)] * len(params)
+    # a new vector per call, so gradients already handed out stay intact
+    grads = params.with_flat(np.empty(params.flat.size))
     for i in range(spec.n_layers - 1, -1, -1):
-        grads[2 * i] = act[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0, keepdims=True)
+        np.matmul(act[i].T, delta, out=grads.arrays[2 * i])
+        delta.sum(axis=0, keepdims=True, out=grads.arrays[2 * i + 1])
         if i > 0:
             delta = (delta @ params.arrays[2 * i].T) * _activate_grad(
                 pre[i - 1], spec.activation
             )
-    return loss, GradientSet(params.names, grads)
+    return loss, grads
 
 
 def predict(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:

@@ -312,4 +312,4 @@ def scale_gradients(grads: GradientSet, depression: float) -> GradientSet:
     if not 0.0 <= depression < 1.0:
         raise ValueError(f"depression must lie in [0, 1), got {depression}")
     scale = 1.0 - depression
-    return GradientSet(grads.names, [scale * g for g in grads.arrays])
+    return grads.with_flat(scale * grads.flat)

@@ -8,6 +8,7 @@ from lossadapt.models import (
     Batch,
     GradientSet,
     ModelSpec,
+    ParameterSet,
     check_congruent,
     cross_entropy,
     evaluate,
@@ -93,6 +94,55 @@ class TestInit:
         dup = params.copy()
         dup.arrays[0][0, 0] = 99.0
         assert params.arrays[0][0, 0] != 99.0
+
+
+class TestLayout:
+    def test_arrays_are_views_of_flat(self):
+        params = init_params(ModelSpec(layer_widths=(4, 3, 2)), make_rng(0))
+        assert params.flat.dtype == np.float64
+        assert params.flat.flags.c_contiguous
+        params.flat[:] = np.arange(params.n_values())
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in params.arrays]), params.flat
+        )
+        params.arrays[2][1, 0] = -7.0
+        assert -7.0 in params.flat
+
+    def test_constructor_copies_callers_arrays(self):
+        src = [np.ones((2, 3)), np.zeros((1, 3))]
+        params = ParameterSet(("w0", "b0"), src)
+        src[0][0, 0] = 5.0
+        params.arrays[1][0, 0] = 9.0
+        assert params.arrays[0][0, 0] == 1.0
+        assert src[1][0, 0] == 0.0
+        assert not any(np.shares_memory(a, params.flat) for a in src)
+
+    def test_copy_has_its_own_flat(self):
+        params = init_params(ModelSpec(layer_widths=(3, 2)), make_rng(0))
+        before = params.flat.copy()
+        dup = params.copy()
+        dup.flat[:] = 99.0
+        np.testing.assert_array_equal(params.flat, before)
+        np.testing.assert_array_equal(dup.arrays[0], 99.0)
+
+    def test_returned_gradients_survive_the_next_call(self):
+        spec = ModelSpec(layer_widths=(4, 3, 2))
+        rng = make_rng(3)
+        params = init_params(spec, rng)
+        first_batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 2, 5))
+        second_batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 2, 5))
+        _, first = loss_and_backward(params, spec, first_batch)
+        kept = first.flat.copy()
+        _, second = loss_and_backward(params, spec, second_batch)
+        np.testing.assert_array_equal(first.flat, kept)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.array_equal(first.flat, second.flat)
+
+    def test_congruence_compares_shapes_not_sizes(self):
+        params = ParameterSet(("w0",), [np.ones((2, 3))])
+        transposed = GradientSet(("w0",), [np.ones((3, 2))])
+        with pytest.raises(ShapeError):
+            check_congruent(params, transposed)
 
 
 class TestForward:

@@ -5,7 +5,7 @@ import pytest
 
 from lossadapt.errors import ConfigError, ShapeError
 from lossadapt.models import GradientSet, ParameterSet
-from lossadapt.optim import SGD, Adam, LapOptimizer
+from lossadapt.optim import CHUNK, SGD, Adam, LapOptimizer
 from lossadapt.trust import LapParams, SourceRegistry
 
 
@@ -222,3 +222,122 @@ class TestLapOptimizer:
             assert snap[1][2] < 0.5
         else:
             assert [scale for _, _, scale in snap] == [1.0, 1.0, 1.0]
+
+
+# -- fused optimizers against the per-array rule ----------------------------
+
+
+class ReferenceSGD:
+    """The per-array SGD loop the fused SGD must reproduce bit for bit."""
+
+    def __init__(self, learning_rate, momentum=0.0, weight_decay=0.0):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self._velocity = None
+
+    def step(self, params, grads):
+        gs = grads
+        if self.weight_decay > 0.0:
+            gs = [g + self.weight_decay * p for g, p in zip(gs, params)]
+        if self.momentum > 0.0:
+            if self._velocity is None:
+                self._velocity = [np.zeros_like(p) for p in params]
+            for v, g, p in zip(self._velocity, gs, params):
+                v *= self.momentum
+                v += g
+                p -= self.learning_rate * v
+        else:
+            for g, p in zip(gs, params):
+                p -= self.learning_rate * g
+
+
+class ReferenceAdam:
+    """The per-array Adam loop the fused Adam must reproduce bit for bit."""
+
+    def __init__(self, learning_rate=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = None
+        self._v = None
+
+    def step(self, params, grads):
+        if self._m is None:
+            self._m = [np.zeros_like(p) for p in params]
+            self._v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for m, v, g, p in zip(self._m, self._v, grads, params):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+# 2 full blocks and an uneven tail; no parameter boundary on a block edge
+LAYOUT_SHAPES = [(130, 200), (1, 200), (200, 37), (1, 37)]
+N_STEPS = 6
+
+
+def random_arrays(rng):
+    return [rng.normal(size=shape) for shape in LAYOUT_SHAPES]
+
+
+def gradient_stream(seed):
+    # magnitudes from 1e-6 to 1e3 exercise eps and the square root
+    rng = np.random.default_rng(seed)
+    return [
+        [g * 10.0 ** rng.uniform(-6, 3) for g in random_arrays(rng)]
+        for _ in range(N_STEPS)
+    ]
+
+
+def test_layout_crosses_block_edges():
+    n = sum(math.prod(shape) for shape in LAYOUT_SHAPES)
+    assert n > 2 * CHUNK and n % CHUNK
+
+
+@pytest.mark.parametrize(
+    "fused, reference, kwargs",
+    [
+        (SGD, ReferenceSGD, {"learning_rate": 0.05}),
+        (SGD, ReferenceSGD, {"learning_rate": 0.05, "momentum": 0.9}),
+        (SGD, ReferenceSGD, {"learning_rate": 0.05, "weight_decay": 0.01}),
+        (
+            SGD,
+            ReferenceSGD,
+            {"learning_rate": 0.05, "momentum": 0.5, "weight_decay": 0.003},
+        ),
+        (Adam, ReferenceAdam, {"learning_rate": 0.003, "beta1": 0.8, "beta2": 0.99}),
+    ],
+    ids=["sgd", "sgd_momentum", "sgd_weight_decay", "sgd_momentum_weight_decay", "adam"],
+)
+def test_fused_update_is_bit_identical_to_per_array_rule(fused, reference, kwargs):
+    start = random_arrays(np.random.default_rng(0))
+    params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
+    ref_params = [a.copy() for a in start]
+    opt, ref = fused(**kwargs), reference(**kwargs)
+    for grads in gradient_stream(1):
+        opt.step(params, GradientSet(params.names, grads))
+        ref.step(ref_params, grads)
+        for got, want in zip(params.arrays, ref_params):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_lap_adam_is_bit_identical_to_scaled_per_array_rule():
+    start = random_arrays(np.random.default_rng(2))
+    params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
+    ref_params = [a.copy() for a in start]
+    lap = LapOptimizer(Adam(0.01), full_registry(2, 2, distrust={0: 200.0}))
+    ref = ReferenceAdam(0.01)
+    for grads in gradient_stream(3):
+        scale = lap.step(params, GradientSet(params.names, grads), 9.0, 0)
+        assert 0.0 < scale < 1.0
+        ref.step(ref_params, [scale * g for g in grads])
+        for got, want in zip(params.arrays, ref_params):
+            np.testing.assert_array_equal(got, want)
