@@ -174,7 +174,9 @@ def apply_corruption(
     ``spec.corruption_rate``.
 
     Label modes leave features untouched and feature modes leave labels
-    untouched. The input batch is never modified.
+    untouched. The input batch is never modified: the array a mode writes is
+    always a new one, and the array it leaves alone is the input's own, not a
+    copy. Identity (``original``, or rate 0) returns copies of both.
     """
     n = len(batch.y)
     if n == 0:
@@ -184,12 +186,14 @@ def apply_corruption(
             f"labels outside [0, {label_domain}): "
             f"range [{batch.y.min()}, {batch.y.max()}]"
         )
-    x = batch.x.copy()
-    y = batch.y.copy()
     mode, rate = spec.mode, spec.corruption_rate
-
     if mode == ORIGINAL or rate == 0.0:
-        return Batch(x, y, batch.source)
+        return Batch(batch.x.copy(), batch.y.copy(), batch.source)
+    x, y = batch.x, batch.y
+    if mode in LABEL_MODES:
+        y = y.copy()
+    else:
+        x = x.copy()
 
     if mode in BATCH_LEVEL_MODES:
         if rng.random() >= rate:

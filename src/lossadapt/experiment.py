@@ -163,9 +163,6 @@ class ExperimentResult:
     config: ExperimentConfig
     runs: list[RunResult] = field(default_factory=list)
 
-    def mean_final_accuracy(self, split: str) -> float:
-        return float(np.mean([r.final_accuracy(split) for r in self.runs]))
-
 
 @dataclass
 class PreparedRun:

@@ -5,9 +5,15 @@ gradients live in :class:`ParameterSet`: one contiguous vector ``flat`` with
 an ordered, named list of reshaped views into it (``arrays``). The layout,
 each parameter's shape and offset, is computed once per model and shared by
 the parameters and every gradient set, so optimizers work on whole vectors
-and layers on matrices. ``loss_and_backward`` writes each call's gradients
-into a new vector of that layout. The backward pass is hand-derived for the
-dense/relu/softmax stack; no general autodiff.
+and layers on matrices; the views are built on first use, so a set that is
+only ever read through ``flat`` never builds them.
+
+One forward pass serves prediction, evaluation and training: each layer
+computes ``z = h @ w``, adds the bias and activates ``z`` in place, so only
+the activations are kept. The backward pass reads the activation derivative
+off them (ReLU: ``act > 0``; tanh: ``1 - act²``) and writes each call's
+gradients into a new vector of the parameters' layout. It is hand-derived
+for the dense/relu/softmax stack; no general autodiff.
 """
 
 from __future__ import annotations
@@ -102,9 +108,9 @@ class ParameterSet:
     Order is fixed at construction (``w0, b0, w1, b1, ...``) and is the
     contract between models and optimizers. ``flat`` is one contiguous
     float64 vector holding every entry in that order, and ``arrays`` are
-    reshaped views into it, so a write through either shows in both. The
-    constructor copies the caller's arrays into a new vector. The same
-    container carries gradients; see :data:`GradientSet`.
+    reshaped views into it, built on first access, so a write through either
+    shows in both. The constructor copies the caller's arrays into a new
+    vector. The same container carries gradients; see :data:`GradientSet`.
     """
 
     def __init__(self, names, arrays):
@@ -118,7 +124,13 @@ class ParameterSet:
         self.names = names
         self._layout = layout
         self.flat = flat
-        self.arrays = layout.views(flat)
+        self._arrays: list[np.ndarray] | None = None
+
+    @property
+    def arrays(self) -> list[np.ndarray]:
+        if self._arrays is None:
+            self._arrays = self._layout.views(self.flat)
+        return self._arrays
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         """A set with these names and this layout whose values live in
@@ -131,7 +143,7 @@ class ParameterSet:
         return iter(zip(self.names, self.arrays))
 
     def __len__(self) -> int:
-        return len(self.arrays)
+        return len(self.names)
 
     def copy(self) -> "ParameterSet":
         return self.with_flat(self.flat.copy())
@@ -197,19 +209,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParameterSet:
     return ParameterSet(tuple(names), arrays)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def _check_input(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.n_features:
@@ -219,58 +218,77 @@ def _check_input(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(params: ParameterSet, spec: ModelSpec, x: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def _forward(params: ParameterSet, spec: ModelSpec,
+             x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output, the input first and the logits last. Each layer
+    computes ``z = h @ w``, adds the bias to ``z`` and activates it in place,
+    so a hidden layer's pre-activation is never kept."""
     n_layers = spec.n_layers
     if len(params) != 2 * n_layers:
         raise ShapeError(
             f"parameter count {len(params)} does not match {n_layers}-layer model"
         )
-    pre: list[np.ndarray] = []
-    act: list[np.ndarray] = [x]
-    h = x
+    arrays = params.arrays
+    relu = spec.activation == "relu"
+    acts = [x]
     # divergence is reported as NumericError by the finite checks, not as
     # numpy overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_layers):
-            w, b = params.arrays[2 * i], params.arrays[2 * i + 1]
+            w, b = arrays[2 * i], arrays[2 * i + 1]
             if w.shape != (spec.layer_widths[i], spec.layer_widths[i + 1]):
                 raise ShapeError(
                     f"w{i} has shape {w.shape}, expected "
                     f"{(spec.layer_widths[i], spec.layer_widths[i + 1])}"
                 )
-            z = h @ w + b
-            pre.append(z)
-            h = _activate(z, spec.activation) if i < n_layers - 1 else z
-            act.append(h)
-    return pre, act
+            z = acts[i] @ w
+            z += b
+            if i < n_layers - 1:
+                if relu:
+                    np.maximum(z, 0.0, out=z)
+                else:
+                    np.tanh(z, out=z)
+            acts.append(z)
+    return acts
 
 
 def forward(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Class logits for each input row; shape (n_rows, n_classes)."""
     x = _check_input(spec, x)
-    _, act = _forward_cached(params, spec, x)
-    return _require_finite(act[-1], "logits")
+    return _require_finite(_forward(params, spec, x)[-1], "logits")
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax, stabilized by max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    total = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    shifted -= np.log(total, out=total)
+    return shifted
+
+
+def _label_entries(n_classes: int, y: np.ndarray) -> np.ndarray:
+    """Flat index of each row's label entry in a C-contiguous
+    (len(y), n_classes) array."""
+    return np.arange(0, len(y) * n_classes, n_classes) + y
+
+
+def _mean_nll(logp: np.ndarray, entries: np.ndarray) -> float:
+    """Mean of ``-logp`` at the flat indices ``entries``: the sum divided by
+    the count, which is what ``np.mean`` computes."""
+    return float(-(np.add.reduce(logp.ravel()[entries]) / len(entries)))
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     """Mean negative log-likelihood of integer labels ``y`` under ``logits``."""
     y = _check_labels(y, logits.shape[1])
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(len(y)), y].mean())
+    return _mean_nll(log_softmax(logits), _label_entries(logits.shape[1], y))
 
 
 def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1:
         raise ShapeError(f"labels must be a 1-D vector, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":
         raise DataError(f"labels must be integers, got dtype {y.dtype}")
     if len(y) and (y.min() < 0 or y.max() >= n_classes):
         raise DataError(
@@ -290,33 +308,39 @@ def loss_and_backward(
     """
     x = _check_input(spec, batch.x)
     y = _check_labels(batch.y, spec.n_classes)
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"batch has {x.shape[0]} rows but {y.shape[0]} labels")
-    if x.shape[0] == 0:
+    n = x.shape[0]
+    if n != y.shape[0]:
+        raise ShapeError(f"batch has {n} rows but {y.shape[0]} labels")
+    if n == 0:
         raise DataError("empty batch")
 
-    pre, act = _forward_cached(params, spec, x)
-    logits = _require_finite(act[-1], "logits")
-    logp = log_softmax(logits)
-    n = x.shape[0]
-    loss = float(-logp[np.arange(n), y].mean())
+    acts = _forward(params, spec, x)
+    logp = log_softmax(_require_finite(acts[-1], "logits"))
+    entries = _label_entries(spec.n_classes, y)
+    loss = _mean_nll(logp, entries)
     if not math.isfinite(loss):
         raise NumericError("loss is non-finite")
 
     # d loss / d logits = (softmax - onehot) / n
-    delta = np.exp(logp)
-    delta[np.arange(n), y] -= 1.0
+    delta = np.exp(logp, out=logp)
+    # the logits come from a matmul, so logp is C-contiguous and ravel() a view
+    delta.ravel()[entries] -= 1.0
     delta /= n
 
+    arrays = params.arrays
+    relu = spec.activation == "relu"
     # a new vector per call, so gradients already handed out stay intact
     grads = params.with_flat(np.empty(params.flat.size))
+    out = grads.arrays
     for i in range(spec.n_layers - 1, -1, -1):
-        np.matmul(act[i].T, delta, out=grads.arrays[2 * i])
-        delta.sum(axis=0, keepdims=True, out=grads.arrays[2 * i + 1])
+        np.matmul(acts[i].T, delta, out=out[2 * i])
+        np.add.reduce(delta, axis=0, keepdims=True, out=out[2 * i + 1])
         if i > 0:
-            delta = (delta @ params.arrays[2 * i].T) * _activate_grad(
-                pre[i - 1], spec.activation
-            )
+            delta = delta @ arrays[2 * i].T
+            if relu:
+                delta *= acts[i] > 0.0
+            else:
+                delta *= 1.0 - acts[i] * acts[i]
     return loss, grads
 
 

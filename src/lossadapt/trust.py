@@ -22,6 +22,12 @@ walks its distrust back down and regains full plasticity.
 
 Depression stays 0 during warm-up (until every buffer is full) and for the
 first ``hold_off`` steps afterwards; losses are recorded throughout.
+
+The registry keeps each source's weight 1/(1 + distrust) beside its distrust,
+refreshed whenever ``update_distrust`` or ``set_distrust`` writes a level. The
+peer statistics take two passes over the peers' histories, which are gathered
+into scratch the registry allocates once; the weighted products are formed in
+place there.
 """
 
 from __future__ import annotations
@@ -110,11 +116,16 @@ class SourceRegistry:
         self._distrust = np.zeros(n)
         self._distrust_view = self._distrust.view()
         self._distrust_view.flags.writeable = False
-        # each row's peers, in row order, for the reference statistics
+        # 1 / (1 + distrust) per source; _set_level writes both arrays
+        self._weights = np.ones(n)
+        # each row's peers, in row order, for the reference statistics, and
+        # scratch the statistics gather the peers' losses into
         self._peers = [
             np.array([j for j in range(n) if j != row], dtype=np.intp)
             for row in range(n)
         ]
+        self._peer_losses = np.empty((n - 1, h))
+        self._peer_products = np.empty((n - 1, h))
         # latched by record_loss when the last history fills; never unset
         self.all_full = False
         self.steps_since_full = 0
@@ -191,7 +202,11 @@ class SourceRegistry:
         """Overwrite a source's distrust level (analysis/testing hook)."""
         if value < 0:
             raise ConfigError(f"distrust must be >= 0, got {value}")
-        self._distrust[self._require(source)] = float(value)
+        self._set_level(self._require(source), float(value))
+
+    def _set_level(self, row: int, level: float) -> None:
+        self._distrust[row] = level
+        self._weights[row] = 1.0 / (1.0 + level)
 
     # -- the update step --------------------------------------------------
 
@@ -234,25 +249,34 @@ class SourceRegistry:
             )
         if not self.all_full:
             raise StateError("all histories must be full before computing stats")
-        h = self.params.history_length
         peers = self._peers[row]
-        losses = self._losses[peers]
-        weights = 1.0 / (1.0 + self._distrust[peers])
-        denom = h * weights.sum()
-        mean = float((weights[:, None] * losses).sum() / denom)
-        dev = losses - mean
-        var = float((weights[:, None] * dev * dev).sum() / denom)
+        weights = self._weights[peers]
+        # the indices are the registry's own, so "clip" never clips; it lets
+        # take write straight into out= instead of through a buffer
+        losses = self._losses.take(peers, axis=0, out=self._peer_losses,
+                                   mode="clip")
+        products = self._peer_products
+        denom = self.params.history_length * np.add.reduce(weights)
+        column = weights[:, None]
+        np.multiply(column, losses, out=products)
+        mean = float(np.add.reduce(products, axis=None) / denom)
+        dev = np.subtract(losses, mean, out=losses)
+        np.multiply(column, dev, out=products)
+        products *= dev
+        var = float(np.add.reduce(products, axis=None) / denom)
         return mean, math.sqrt(max(var, 0.0))
 
     def source_mean(self, source: int) -> float:
         """Arithmetic mean of the source's full history."""
         row = self._require(source)
-        if self._counts[row] < self.params.history_length:
+        h = self.params.history_length
+        if self._counts[row] < h:
             raise StateError(
                 f"history for source {source} holds {self._counts[row]} of "
-                f"{self.params.history_length} entries"
+                f"{h} entries"
             )
-        return float(self._losses[row].mean())
+        # np.mean's own operations: the sum, then a true divide by the count
+        return float(np.add.reduce(self._losses[row]) / h)
 
     def update_distrust(self, source: int) -> float:
         """One ±1 distrust step for ``source`` against the other sources'
@@ -264,13 +288,13 @@ class SourceRegistry:
         row = self._require(source)
         mean_others, std_others = self.weighted_other_stats(source)
         mean_own = self.source_mean(source)
+        level = float(self._distrust[row])
         if mean_own < mean_others + self.params.leniency * std_others:
-            self._distrust[row] -= 1.0
+            level = max(level - 1.0, 0.0)
         else:
-            self._distrust[row] += 1.0
-        if self._distrust[row] < 0.0:
-            self._distrust[row] = 0.0
-        return float(self._distrust[row])
+            level += 1.0
+        self._set_level(row, level)
+        return level
 
     # -- depression -------------------------------------------------------
 

@@ -8,6 +8,7 @@ from lossadapt.corruption import (
     FEATURE_MODES,
     LABEL_MODES,
     MODES,
+    ORIGINAL,
     CorruptionSpec,
     SourcePlan,
     apply_corruption,
@@ -220,6 +221,31 @@ class TestInvariants:
         apply_corruption(b, CorruptionSpec(mode=mode), 4, make_rng(1))
         np.testing.assert_array_equal(b.x, x0)
         np.testing.assert_array_equal(b.y, y0)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != ORIGINAL])
+    def test_copies_only_the_array_it_writes(self, mode, rate):
+        b = demo_batch()
+        for seed in range(6):
+            spec = CorruptionSpec(mode=mode, corruption_rate=rate)
+            out = apply_corruption(b, spec, 4, make_rng(seed))
+            if mode in LABEL_MODES:
+                assert not np.shares_memory(out.y, b.y)
+                assert out.x is b.x
+            else:
+                assert not np.shares_memory(out.x, b.x)
+                assert out.y is b.y
+
+    @pytest.mark.parametrize(
+        "mode, rate", [(ORIGINAL, 1.0)] + [(m, 0.0) for m in MODES]
+    )
+    def test_identity_copies_both_arrays(self, mode, rate):
+        b = demo_batch()
+        out = apply_corruption(
+            b, CorruptionSpec(mode=mode, corruption_rate=rate), 4, make_rng(1)
+        )
+        assert not np.shares_memory(out.x, b.x)
+        assert not np.shares_memory(out.y, b.y)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fixed_seed_reproducible(self, mode):

@@ -21,6 +21,62 @@ from lossadapt.models import (
 from lossadapt.rng import make_rng
 
 
+def reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_activate(z, activation):
+    if activation == "relu":
+        return np.maximum(z, 0.0)
+    return np.tanh(z)
+
+
+def reference_activate_grad(z, activation):
+    if activation == "relu":
+        return (z > 0.0).astype(np.float64)
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def reference_forward_cached(params, spec, x):
+    """The forward pass as first written: pre-activations and activations
+    kept as separate arrays."""
+    n_layers = spec.n_layers
+    pre, act = [], [x]
+    h = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_layers):
+            w, b = params.arrays[2 * i], params.arrays[2 * i + 1]
+            z = h @ w + b
+            pre.append(z)
+            h = reference_activate(z, spec.activation) if i < n_layers - 1 else z
+            act.append(h)
+    return pre, act
+
+
+def reference_loss_and_backward(params, spec, batch):
+    """Loss and gradients as first written, without the input checks: the
+    reference the lean kernel must match bit for bit."""
+    x, y = batch.x, batch.y
+    pre, act = reference_forward_cached(params, spec, x)
+    logp = reference_log_softmax(act[-1])
+    n = x.shape[0]
+    loss = float(-logp[np.arange(n), y].mean())
+    delta = np.exp(logp)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = params.with_flat(np.empty(params.flat.size))
+    for i in range(spec.n_layers - 1, -1, -1):
+        np.matmul(act[i].T, delta, out=grads.arrays[2 * i])
+        delta.sum(axis=0, keepdims=True, out=grads.arrays[2 * i + 1])
+        if i > 0:
+            delta = (delta @ params.arrays[2 * i].T) * reference_activate_grad(
+                pre[i - 1], spec.activation
+            )
+    return loss, grads
+
+
 def finite_difference_grads(params, spec, batch, eps=1e-6):
     """Central differences on every parameter entry."""
     out = []
@@ -267,6 +323,39 @@ class TestBackward:
                 params, spec, Batch(np.ones((3, 4)), np.zeros(2, dtype=int))
             )
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"y": np.array([True, False])}, DataError),
+            ({"y": np.array([0.0, 1.0])}, DataError),
+            ({"y": np.array([0, -1])}, DataError),
+            ({"y": np.array([[0], [1]])}, ShapeError),
+            ({"x": np.ones((2, 5))}, ShapeError),
+            ({"spec": ModelSpec(layer_widths=(4, 3, 2))}, ShapeError),
+            ({"spec": ModelSpec(layer_widths=(4, 5, 3, 2))}, ShapeError),
+        ],
+        ids=["bool_labels", "float_labels", "negative_label", "2d_labels",
+             "feature_width", "layer_width", "layer_count"],
+    )
+    def test_rejects_bad_input(self, change, error):
+        spec = ModelSpec(layer_widths=(4, 6, 2))
+        params = init_params(spec, make_rng(0))
+        x = change.get("x", np.ones((2, 4)))
+        y = change.get("y", np.array([0, 1]))
+        with pytest.raises(error):
+            loss_and_backward(params, change.get("spec", spec), Batch(x, y))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_accepts_any_integer_labels(self, dtype):
+        spec = ModelSpec(layer_widths=(4, 6, 2))
+        params = init_params(spec, make_rng(0))
+        x = make_rng(1).normal(size=(3, 4))
+        y = np.array([1, 0, 1])
+        loss, grads = loss_and_backward(params, spec, Batch(x, y))
+        loss_t, grads_t = loss_and_backward(params, spec, Batch(x, y.astype(dtype)))
+        assert loss_t == loss
+        np.testing.assert_array_equal(grads_t.flat, grads.flat)
+
     def test_nonfinite_input_raises(self):
         spec = ModelSpec(layer_widths=(2, 2))
         params = init_params(spec, make_rng(0))
@@ -293,3 +382,42 @@ class TestEvaluate:
         out = predict(params, spec, np.ones((6, 4)))
         assert out.shape == (6,)
         assert out.dtype.kind == "i"
+
+
+class TestReferenceKernel:
+    """The lean forward and backward against the kernel as first written:
+    same floating-point operations in the same order, so equal bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, widths, activation, batch_size",
+        [
+            ("mlp", (2, 32, 32, 3), "relu", 6),
+            ("mlp", (4, 3, 2), "tanh", 1),
+            ("logistic_regression", (5, 3), "relu", 7),
+            ("mlp", (784, 16, 10), "relu", 64),
+        ],
+        ids=["relu_w1", "tanh_batch1", "logistic", "relu_784"],
+    )
+    def test_matches_reference_bit_for_bit(self, kind, widths, activation,
+                                           batch_size):
+        spec = ModelSpec(kind=kind, layer_widths=widths, activation=activation)
+        rng = make_rng(17)
+        params = init_params(spec, rng)
+        for b in params.arrays[1::2]:
+            b[...] = rng.normal(0.0, 0.5, b.shape)
+        for trial in range(50):
+            x = rng.normal(0.0, 1.5, (batch_size, widths[0]))
+            if trial % 5 == 0:
+                # a zero row against zero biases: hidden pre-activations
+                # that are exactly zero, where the ReLU mask must read 0
+                x[0] = 0.0
+                params.arrays[1][0, ::2] = 0.0
+            y = rng.integers(0, widths[-1], batch_size)
+            batch = Batch(x, y)
+            loss, grads = loss_and_backward(params, spec, batch)
+            ref_loss, ref_grads = reference_loss_and_backward(params, spec, batch)
+            assert loss == ref_loss
+            np.testing.assert_array_equal(grads.flat, ref_grads.flat)
+            _, act = reference_forward_cached(params, spec, x)
+            np.testing.assert_array_equal(forward(params, spec, x), act[-1])
+            params.flat -= 0.1 * grads.flat

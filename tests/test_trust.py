@@ -480,3 +480,61 @@ class TestNaiveOracle:
             naive.record(s, loss)
             assert tuple(reg.distrust(j) for j in range(n)) == tuple(naive.distrust)
             assert reg.gradient_scale(s) == naive.scale(s)
+
+
+def assert_stats_match_levels(reg):
+    """Every source's weighted_other_stats and source_mean equal the
+    expressions recomputed from the registry's loss buffer and distrust
+    levels, with fresh 1/(1 + distrust) weights."""
+    if not reg.all_full:
+        return
+    h = reg.params.history_length
+    for row, source in enumerate(reg.source_ids):
+        peers = np.arange(reg.n_sources) != row
+        losses = reg._losses[peers]
+        weights = 1.0 / (1.0 + reg.distrust_levels[peers])
+        denom = h * weights.sum()
+        mean = float((weights[:, None] * losses).sum() / denom)
+        dev = losses - mean
+        var = float((weights[:, None] * dev * dev).sum() / denom)
+        assert reg.weighted_other_stats(source) == (
+            mean, math.sqrt(max(var, 0.0))
+        )
+        assert reg.source_mean(source) == float(reg._losses[row].mean())
+
+
+@st.composite
+def registry_calls(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    h = draw(st.integers(min_value=2, max_value=5))
+    source = st.integers(min_value=0, max_value=n - 1)
+    loss = st.floats(min_value=-20, max_value=20, allow_nan=False)
+    level = st.integers(min_value=0, max_value=200).map(lambda k: k / 4)
+    if draw(st.booleans()):
+        histories = {
+            s: draw(st.lists(loss, min_size=h, max_size=h)) for s in range(n)
+        }
+        distrust = draw(st.dictionaries(source, level, max_size=n))
+    else:
+        histories = distrust = None
+    call = st.one_of(
+        st.tuples(st.just("record_loss"), source, loss),
+        st.tuples(st.just("set_distrust"), source, level),
+    )
+    return n, h, histories, distrust, draw(st.lists(call, max_size=60))
+
+
+class TestCachedWeights:
+    @given(calls=registry_calls())
+    @settings(max_examples=200, deadline=None)
+    def test_stats_follow_every_distrust_write(self, calls):
+        n, h, histories, distrust, steps = calls
+        params = LapParams(history_length=h)
+        if histories is None:
+            reg = SourceRegistry(range(n), params=params)
+        else:
+            reg = full_registry(histories, params=params, distrust=distrust)
+        assert_stats_match_levels(reg)
+        for name, source, value in steps:
+            getattr(reg, name)(source, value)
+            assert_stats_match_levels(reg)
