@@ -205,7 +205,7 @@ def apply_corruption(
         return Batch(x, y, batch.source)
 
     mask = rng.random(n) < rate
-    hit = np.flatnonzero(mask)
+    hit = mask.nonzero()[0]
     if mode == RANDOM_LABEL:
         y[hit] = rng.integers(0, label_domain, size=len(hit))
     elif mode == CHUNK_SHUFFLE:

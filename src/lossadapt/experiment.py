@@ -21,7 +21,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +44,10 @@ from .trust import LapParams, SourceRegistry, depression_value
 
 METRICS_CSV_COLUMNS = ("seed", "epoch", "split", "accuracy", "mean_loss")
 TRACE_CSV_COLUMNS = ("step", "source_id", "distrust", "gradient_scale", "is_corrupt")
+# steps of the trace taken at a time by level discovery and the CSV writer:
+# their memory depends on this, the number of sources and the number of
+# distinct distrust levels, not on the number of steps
+TRACE_BLOCK = 512
 SWEEP_CSV_COLUMNS = (
     "leniency",
     "depression_strength",
@@ -110,14 +116,30 @@ class Trace:
         self.is_corrupt = np.zeros((steps, n), dtype=bool)
         self.is_corrupt[:flip_step] = [s in corrupt_source_ids for s in self.source_ids]
 
+    def _level_lookup(self) -> tuple[list[float], list[float], Callable]:
+        """The distinct distrust levels in ascending order, the gradient
+        scale of each while depression applies, and a function mapping
+        distrust values to their indices into both. The levels are gathered
+        :data:`TRACE_BLOCK` steps at a time, so no copy of the whole trace
+        is sorted."""
+        distinct = np.empty(0)
+        for start in range(0, len(self.distrust), TRACE_BLOCK):
+            block = self.distrust[start:start + TRACE_BLOCK]
+            # asked for counts, np.unique sorts; asked for nothing, numpy 2.x
+            # first imports numpy.ma (about 8 ms) to test for a mask
+            distinct, _ = np.unique(
+                np.concatenate((distinct, block), axis=None), return_counts=True
+            )
+        values = distinct.tolist()
+        strength = self.depression_strength
+        scales = [1.0 - depression_value(v, strength) for v in values]
+        return values, scales, partial(np.searchsorted, distinct)
+
     def levels(self) -> tuple[list[float], list[float], np.ndarray]:
         """The distinct distrust levels, the gradient scale of each while
         depression applies, and every cell's index into both."""
-        values, index = np.unique(self.distrust.ravel(), return_inverse=True)
-        values = values.tolist()
-        strength = self.depression_strength
-        scales = [1.0 - depression_value(v, strength) for v in values]
-        return values, scales, index.reshape(self.distrust.shape)
+        values, scales, index_of = self._level_lookup()
+        return values, scales, index_of(self.distrust)
 
     def gradient_scales(self) -> np.ndarray:
         """(steps, n_sources) gradient scale of every source at every step."""
@@ -381,24 +403,38 @@ def write_metrics_csv(records: list[MetricsRecord], path) -> None:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """The trace as CSV, in the ``csv.writer`` dialect: ``%g`` distrust,
-    ``.10g`` scale, 0/1 corrupt flag, ``\\r\\n`` line ends."""
-    values, scales, index = trace.levels()
+    ``.10g`` scale, 0/1 corrupt flag, ``\\r\\n`` line ends.
+
+    Lines are rendered and written :data:`TRACE_BLOCK` steps at a time, so
+    the memory this takes does not grow with the number of steps."""
+    values, scales, index_of = trace._level_lookup()
     n = len(values)
     # each line after "step,source_id," is one of four texts per distrust
     # level, picked by the step's depression flag and the corrupt flag
-    tails = [
+    tails = np.array([
         f"{v:g},{s:.10g},{corrupt}\r\n"
         for level_scales in ([1.0] * n, scales)
         for corrupt in (0, 1)
         for v, s in zip(values, level_scales)
-    ]
-    codes = index + n * (2 * trace.depression_applied[:, None] + trace.is_corrupt)
-    heads = [f",{s}," for s in trace.source_ids]
+    ], dtype=object)
+    steps, n_sources = trace.distrust.shape
+    # a block's lines as (step, source, part): step text, ",source_id,", tail
+    cells = np.empty((min(steps, TRACE_BLOCK), n_sources, 3), dtype=object)
+    cells[:, :, 1] = np.array([f",{s}," for s in trace.source_ids], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_CSV_COLUMNS) + "\r\n")
-        for step, row in enumerate(codes.tolist()):
-            prefix = str(step)
-            fh.write("".join([prefix + h + tails[k] for h, k in zip(heads, row)]))
+        for start in range(0, steps, TRACE_BLOCK):
+            stop = min(start + TRACE_BLOCK, steps)
+            codes = index_of(trace.distrust[start:stop])
+            codes += n * (
+                2 * trace.depression_applied[start:stop, None]
+                + trace.is_corrupt[start:stop]
+            )
+            block = cells[: stop - start]
+            steps_text = np.array([str(i) for i in range(start, stop)], dtype=object)
+            block[:, :, 0] = steps_text[:, None]
+            block[:, :, 2] = tails[codes]
+            fh.write("".join(block.ravel().tolist()))
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:

@@ -198,15 +198,22 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParameterSet:
     bit-identical parameters on every call.
     """
     names: list[str] = []
-    arrays: list[np.ndarray] = []
-    widths = spec.layer_widths
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+    shapes: list[tuple[int, int]] = []
+    fans = list(zip(spec.layer_widths[:-1], spec.layer_widths[1:]))
+    for i, (fan_in, fan_out) in enumerate(fans):
+        names += [f"w{i}", f"b{i}"]
+        shapes += [(fan_in, fan_out), (1, fan_out)]
+    layout = _Layout(shapes)
+    params = object.__new__(ParameterSet)
+    params._bind(tuple(names), layout, np.zeros(layout.size))
+    # each weight is drawn straight into its view of the flat vector, as
+    # Generator.uniform(-a, a) computes it: low + (high - low) * u
+    for w, (fan_in, fan_out) in zip(params.arrays[::2], fans):
         a = math.sqrt(6.0 / (fan_in + fan_out))
-        names.append(f"w{i}")
-        arrays.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
-        names.append(f"b{i}")
-        arrays.append(np.zeros((1, fan_out)))
-    return ParameterSet(tuple(names), arrays)
+        rng.random(out=w)
+        w *= a - (-a)
+        w += -a
+    return params
 
 
 def _check_input(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
@@ -290,7 +297,13 @@ def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
         raise ShapeError(f"labels must be a 1-D vector, got shape {y.shape}")
     if y.dtype.kind not in "iu":
         raise DataError(f"labels must be integers, got dtype {y.dtype}")
-    if len(y) and (y.min() < 0 or y.max() >= n_classes):
+    # viewed as unsigned, a negative label wraps to 2**(bits - 1) or above,
+    # past every non-negative label, so one maximum tests both ends
+    bound = n_classes
+    if y.dtype.kind == "i":
+        bound = min(bound, 1 << (8 * y.dtype.itemsize - 1))
+    unsigned = y.view(y.dtype.str.replace("i", "u"))
+    if len(y) and np.maximum.reduce(unsigned) >= bound:
         raise DataError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{y.min()}, {y.max()}]"
@@ -355,6 +368,6 @@ def evaluate(
     """(mean cross-entropy, accuracy) of the model on ``(x, y)``."""
     logits = forward(params, spec, x)
     y = _check_labels(y, spec.n_classes)
-    loss = cross_entropy(logits, y)
+    loss = _mean_nll(log_softmax(logits), _label_entries(spec.n_classes, y))
     accuracy = float((logits.argmax(axis=1) == y).mean())
     return loss, accuracy

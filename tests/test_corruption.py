@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,42 @@ class TestInvariants:
             assert sorted(out.y) == sorted(b.y) or len(set(out.y)) == 1
         assert out.x.shape == b.x.shape
         assert out.y.shape == b.y.shape
+
+
+# First 16 hex digits of the SHA-256 of each corrupted batch's x bytes, its y
+# bytes and the generator's next float64 draw, for rng seeds 0, 1, 2; taken
+# from the code as it stood before any rewrite of apply_corruption, so the
+# hit rows, the draws and their order are pinned.
+CORRUPTED_BATCH_HASHES = {
+    ("original", 0.5): ('321abb19296f98b1', '03880dfddd16ba90', '5967fad2c03d84b3'),
+    ("original", 1.0): ('321abb19296f98b1', '03880dfddd16ba90', '5967fad2c03d84b3'),
+    ("chunk_shuffle", 0.5): ('31b7ec7fd78fd96a', 'a28403c8bef71811', '9150de3f2cc57269'),
+    ("chunk_shuffle", 1.0): ('a8fb16eb88bd9562', 'baa182a2e7a9bebd', 'dac69e76cffab28e'),
+    ("random_label", 0.5): ('4e0e152ce90eac70', '17321e23805a399d', 'ea75ade1f8b07edf'),
+    ("random_label", 1.0): ('40ffedc045ca17ef', 'f134e45962d627e6', '1d3196ff270822f1'),
+    ("batch_label_shuffle", 0.5): ('6dcfd94b5abfb53e', '4959aaead4765cc5', '284d6af815533aa6'),
+    ("batch_label_shuffle", 1.0): ('08022086519b20f6', '7c504e8def524e33', '284d6af815533aa6'),
+    ("batch_label_flip", 0.5): ('6dcfd94b5abfb53e', '4959aaead4765cc5', '83319f5c07ecf4c6'),
+    ("batch_label_flip", 1.0): ('013dff2b6ac5adfb', '1a639252c15cdcac', '83319f5c07ecf4c6'),
+    ("add_gaussian_noise", 0.5): ('3ea1a0e4111d2e12', '41cd107dc0609c39', '9a142e3dde4d8ecd'),
+    ("add_gaussian_noise", 1.0): ('900dcc3a330016db', 'cd3030c4a1b75b7e', 'b679417434e22137'),
+    ("replace_gaussian_noise", 0.5): ('2e6541c87615ab16', '9763ca25c763bfd3', 'd5fd23ac82231c6e'),
+    ("replace_gaussian_noise", 1.0): ('01d6f462702064b8', 'b9efb3a8590a7715', '1f4c594f3ceaea4e'),
+}
+
+
+@pytest.mark.parametrize("mode, rate", sorted(CORRUPTED_BATCH_HASHES))
+def test_corrupted_batches_match_pinned_hashes(mode, rate):
+    spec = CorruptionSpec(mode=mode, corruption_rate=rate)
+    hashes = []
+    for seed in range(3):
+        rng = make_rng(seed)
+        out = apply_corruption(demo_batch(), spec, 4, rng)
+        digest = hashlib.sha256(
+            out.x.tobytes() + out.y.tobytes() + np.float64(rng.random()).tobytes()
+        )
+        hashes.append(digest.hexdigest()[:16])
+    assert tuple(hashes) == CORRUPTED_BATCH_HASHES[mode, rate]
 
 
 class TestErrors:

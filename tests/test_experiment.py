@@ -2,7 +2,10 @@ import csv
 import filecmp
 import hashlib
 import importlib.util
+import io
+import os
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +18,9 @@ from lossadapt.errors import ConfigError, NumericError
 from lossadapt.experiment import (
     METRICS_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
+    TRACE_BLOCK,
     TRACE_CSV_COLUMNS,
+    Trace,
     fit_overhead_linear,
     measure_step_overhead,
     overhead_scaling_table,
@@ -28,6 +33,7 @@ from lossadapt.experiment import (
     write_trace_csv,
 )
 from lossadapt.models import evaluate
+from lossadapt.trust import depression_value
 
 
 def small_config(**overrides):
@@ -457,6 +463,87 @@ def test_trace_csv_matches_csv_writer_rendering(variant, tmp_path):
             ])
     reference = (tmp_path / "reference.csv").read_bytes()
     assert (tmp_path / "trace.csv").read_bytes() == reference
+
+
+def csv_writer_rendering(trace):
+    """The trace file as ``csv.writer`` renders ``iter(trace)``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_CSV_COLUMNS)
+    for row in trace:
+        writer.writerow([
+            row.step,
+            row.source_id,
+            f"{row.distrust:g}",
+            f"{row.gradient_scale:.10g}",
+            int(row.is_corrupt),
+        ])
+    return buf.getvalue().encode()
+
+
+# non-integer levels, and levels that %g writes with an exponent
+HAND_LEVELS = (0.0, 1.0, 2.5, 3.0, 0.1 + 0.2, 1e-05, 123456789.5, 4e20)
+
+
+def hand_built_trace(steps, lap, flip_step, seed=0):
+    rng = np.random.default_rng(seed)
+    trace = Trace((3, 7, 11, 12), steps, 1.5, frozenset({7, 12}), flip_step)
+    trace.distrust[:] = rng.choice(HAND_LEVELS, size=trace.distrust.shape)
+    if lap:
+        # off during a hold-off, then on
+        trace.depression_applied[steps // 3:] = True
+    return trace
+
+
+class TestTraceWriter:
+    @pytest.mark.parametrize("flip", [False, True], ids=["no_flip", "flip"])
+    @pytest.mark.parametrize("lap", [True, False], ids=["lap_on", "lap_off"])
+    @pytest.mark.parametrize(
+        "steps",
+        [0, 1, TRACE_BLOCK - 1, TRACE_BLOCK, 2 * TRACE_BLOCK + 7],
+        ids=["empty", "one", "block-1", "block", "2block+7"],
+    )
+    def test_bytes_match_csv_writer(self, steps, lap, flip, tmp_path):
+        flip_step = steps // 2 + 1 if flip else None
+        trace = hand_built_trace(steps, lap, flip_step, seed=steps)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_levels_match_unique_with_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        steps = int(rng.integers(0, 3 * TRACE_BLOCK))
+        n_sources = int(rng.integers(1, 9))
+        trace = Trace(range(n_sources), steps, float(rng.uniform(0.5, 4.0)),
+                      frozenset({0}), None)
+        pool = np.concatenate([rng.integers(0, 60, 40), rng.normal(5, 20, 40)])
+        trace.distrust[:] = rng.choice(pool, size=trace.distrust.shape)
+        values, scales, index = trace.levels()
+
+        expected, inverse = np.unique(trace.distrust.ravel(), return_inverse=True)
+        assert values == expected.tolist()
+        assert scales == [
+            1.0 - depression_value(v, trace.depression_strength) for v in values
+        ]
+        np.testing.assert_array_equal(index, inverse.reshape(trace.distrust.shape))
+
+    def test_memory_does_not_grow_with_steps(self):
+        def peak_bytes(steps):
+            trace = Trace(range(40), steps, 4.0, frozenset(range(12)), None)
+            rng = np.random.default_rng(steps)
+            trace.distrust[:] = rng.integers(0, 200, size=trace.distrust.shape)
+            trace.depression_applied[steps // 10:] = True
+            tracemalloc.start()
+            try:
+                write_trace_csv(trace, os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(TRACE_BLOCK)  # the first call's one-off imports and caches
+        short, long = peak_bytes(20_000), peak_bytes(40_000)
+        assert short < 4 * 2**20
+        assert long < 1.1 * short
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -151,6 +151,35 @@ class TestInit:
         dup.arrays[0][0, 0] = 99.0
         assert params.arrays[0][0, 0] != 99.0
 
+    @pytest.mark.parametrize(
+        "kind, widths",
+        [
+            ("mlp", (2, 32, 32, 3)),
+            ("mlp", (784, 256, 128, 10)),
+            ("logistic_regression", (5, 3)),
+        ],
+        ids=["w1", "mnist_shaped", "logistic"],
+    )
+    def test_matches_uniform_draws_bit_for_bit(self, kind, widths):
+        # the construction as first written: one Generator.uniform matrix per
+        # layer, then copied into the flat vector
+        spec = ModelSpec(kind=kind, layer_widths=widths)
+        for seed in (0, 1, 7):
+            rng = make_rng(seed)
+            names, arrays = [], []
+            for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+                a = math.sqrt(6.0 / (fan_in + fan_out))
+                names += [f"w{i}", f"b{i}"]
+                arrays += [
+                    rng.uniform(-a, a, size=(fan_in, fan_out)),
+                    np.zeros((1, fan_out)),
+                ]
+            reference = ParameterSet(tuple(names), arrays)
+            params = init_params(spec, make_rng(seed))
+            assert params.names == reference.names
+            assert params.shapes() == reference.shapes()
+            np.testing.assert_array_equal(params.flat, reference.flat)
+
 
 class TestLayout:
     def test_arrays_are_views_of_flat(self):
@@ -345,6 +374,30 @@ class TestBackward:
         with pytest.raises(error):
             loss_and_backward(params, change.get("spec", spec), Batch(x, y))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_rejects_negative_labels_of_any_width(self, dtype):
+        spec = ModelSpec(layer_widths=(4, 6, 2))
+        params = init_params(spec, make_rng(0))
+        for y in ([0, -1], [-128, 1], [1, 0, -1]):
+            batch = Batch(np.ones((len(y), 4)), np.array(y, dtype=dtype))
+            with pytest.raises(DataError, match="range"):
+                loss_and_backward(params, spec, batch)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+    def test_label_range_past_the_signed_range(self, dtype):
+        # more classes than an int8 can count: its negative labels must
+        # still fail, and every label in [0, 300) pass
+        logits = np.zeros((2, 300))
+        top = min(np.iinfo(dtype).max, 299)
+        assert cross_entropy(logits, np.array([0, top], dtype=dtype)) > 0.0
+        if np.iinfo(dtype).min < 0:
+            with pytest.raises(DataError):
+                cross_entropy(logits, np.array([0, -1], dtype=dtype))
+
+    def test_unsigned_labels_out_of_range(self):
+        with pytest.raises(DataError, match=r"\[0, 3\)"):
+            cross_entropy(np.zeros((2, 3)), np.array([0, 255], dtype=np.uint8))
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
     def test_accepts_any_integer_labels(self, dtype):
         spec = ModelSpec(layer_widths=(4, 6, 2))
@@ -375,6 +428,34 @@ class TestEvaluate:
         loss, acc = evaluate(params, spec, x, y)
         assert acc == pytest.approx(2.0 / 3.0)
         assert loss > 0.0
+
+    def test_matches_cross_entropy_and_argmax_bit_for_bit(self):
+        for widths in ((2, 32, 32, 3), (5, 3)):
+            spec = ModelSpec(layer_widths=widths)
+            rng = make_rng(3)
+            params = init_params(spec, rng)
+            x = rng.normal(0, 1, (97, widths[0]))
+            y = rng.integers(0, widths[-1], 97)
+            logits = forward(params, spec, x)
+            loss, acc = evaluate(params, spec, x, y)
+            assert loss == cross_entropy(logits, y)
+            assert acc == float((logits.argmax(axis=1) == y).mean())
+
+    @pytest.mark.parametrize(
+        "y, error",
+        [
+            (np.array([0, -1, 1]), DataError),
+            (np.array([0, 3, 1]), DataError),
+            (np.array([0.0, 1.0, 1.0]), DataError),
+            (np.array([[0], [1], [1]]), ShapeError),
+        ],
+        ids=["negative", "out_of_range", "float", "2d"],
+    )
+    def test_rejects_bad_labels(self, y, error):
+        spec = ModelSpec(layer_widths=(4, 6, 3))
+        params = init_params(spec, make_rng(0))
+        with pytest.raises(error):
+            evaluate(params, spec, np.ones((3, 4)), y)
 
     def test_predict_shapes(self):
         spec = ModelSpec(layer_widths=(4, 3, 2))
