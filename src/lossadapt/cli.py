@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import CONFIG_KEY_DOC, load_config
 from .errors import LossAdaptError
-from .experiment import run_experiment, sweep, write_sweep_csv
+from .experiment import SWEEP_AXES, run_experiment, sweep, write_sweep_csv
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
 
 
@@ -129,16 +129,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    grid = {}
-    for axis, attr in (
-        ("leniency", "leniency"),
-        ("depression_strength", "depression_strength"),
-        ("history_length", "history_length"),
-        ("corruption_rate", "corruption_rate"),
-    ):
-        values = getattr(args, attr)
-        if values:
-            grid[axis] = values
+    grid = {axis: getattr(args, axis) for axis in SWEEP_AXES if getattr(args, axis)}
     rows = sweep(config, grid)
     for row in rows:
         print(

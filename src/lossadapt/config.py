@@ -3,9 +3,14 @@
 The file is one object with sections ``dataset``, ``model``, ``optimizer``,
 ``lap``, ``sources``, ``training``, plus top-level ``seeds`` and
 ``output_dir``. Every key is optional except ``dataset.kind``'s requirements;
-defaults fill in the standard hyperparameters (leniency 0.8, depression
-strength 1.0, history length 25, hold-off 0, Adam at 0.001). Unknown keys are
-rejected by name so typos fail loudly instead of silently running defaults.
+defaults fill in the standard hyperparameters. Unknown keys are rejected by
+name so typos fail loudly instead of silently running defaults.
+
+A section is the spec it configures where there is one: ``model`` is a
+``ModelSpec``, and ``lap``, ``sources`` and ``dataset`` subclass
+``LapParams``, ``CorruptionSpec`` and ``BlobSpec``, adding only their own
+keys. Each default and each check lives once, on the spec, and runs when the
+config loads.
 
 ``load_config -> serialize_config -> load_config`` is the identity.
 """
@@ -42,13 +47,14 @@ def _no_leftovers(section: dict, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(BlobSpec):
+    """The ``dataset`` section: the blob spec plus the source of the data.
+
+    The blob fields are validated on every kind; only ``blobs`` reads them.
+    """
+
     kind: str = "blobs"
     # blobs
-    n_classes: int = 3
-    n_per_class: int = 100
-    centers: tuple[tuple[float, ...], ...] | None = None
-    spread: float = 1.0
     n_test_per_class: int | None = None
     # idx_files
     train_images: str | None = None
@@ -60,15 +66,10 @@ class DatasetConfig:
     test_path: str | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in DATASET_KINDS:
             raise ConfigError(
                 f"dataset.kind: {self.kind!r} not one of {DATASET_KINDS}"
-            )
-        if self.centers is not None:
-            object.__setattr__(
-                self,
-                "centers",
-                tuple(tuple(float(v) for v in c) for c in self.centers),
             )
         if self.kind == "idx_files":
             if not self.train_images or not self.train_labels:
@@ -85,14 +86,6 @@ class DatasetConfig:
             raise ConfigError(
                 f"dataset.n_test_per_class must be >= 1, got {self.n_test_per_class}"
             )
-
-    def blob_spec(self) -> BlobSpec:
-        return BlobSpec(
-            n_classes=self.n_classes,
-            n_per_class=self.n_per_class,
-            centers=self.centers,
-            spread=self.spread,
-        )
 
     def test_blob_spec(self) -> BlobSpec:
         per_class = self.n_test_per_class or max(1, self.n_per_class // 4)
@@ -137,38 +130,25 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class LapConfig:
+class LapConfig(LapParams):
+    """The ``lap`` section: the trust parameters plus the on/off switch."""
+
     enabled: bool = True
-    leniency: float = 0.8
-    depression_strength: float = 1.0
-    history_length: int = 25
-    hold_off: int = 0
-
-    def params(self) -> LapParams:
-        return LapParams(
-            leniency=self.leniency,
-            depression_strength=self.depression_strength,
-            history_length=self.history_length,
-            hold_off=self.hold_off,
-        )
-
-    def __post_init__(self):
-        self.params()  # shares LapParams validation
 
 
 @dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(CorruptionSpec):
+    """The ``sources`` section: the corruption spec plus how the training set
+    is split into sources and which of them are corrupt."""
+
     n_sources: int = 10
     n_corrupt: int = 0
-    mode: str = "original"
-    corruption_rate: float = 1.0
-    n_chunks: int = 4
-    chunk_axis: int = 0
     reliability_flip_step: int | None = None
     upsample: bool = False
     exclude_corrupt_from_training: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_sources < 2:
             raise ConfigError(
                 f"sources.n_sources must be >= 2, got {self.n_sources}"
@@ -183,15 +163,6 @@ class SourceConfig:
                 f"sources.reliability_flip_step must be >= 0, got "
                 f"{self.reliability_flip_step}"
             )
-        self.corruption_spec()  # shares CorruptionSpec validation
-
-    def corruption_spec(self) -> CorruptionSpec:
-        return CorruptionSpec(
-            mode=self.mode,
-            corruption_rate=self.corruption_rate,
-            n_chunks=self.n_chunks,
-            chunk_axis=self.chunk_axis,
-        )
 
 
 @dataclass(frozen=True)

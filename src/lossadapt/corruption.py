@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .models import Batch
+from .models import Batch, _check_labels
 
 ORIGINAL = "original"
 CHUNK_SHUFFLE = "chunk_shuffle"
@@ -181,11 +181,7 @@ def apply_corruption(
     n = len(batch.y)
     if n == 0:
         raise DataError("cannot corrupt an empty batch")
-    if batch.y.min() < 0 or batch.y.max() >= label_domain:
-        raise DataError(
-            f"labels outside [0, {label_domain}): "
-            f"range [{batch.y.min()}, {batch.y.max()}]"
-        )
+    _check_labels(batch.y, label_domain)
     mode, rate = spec.mode, spec.corruption_rate
     if mode == ORIGINAL or rate == 0.0:
         return Batch(batch.x.copy(), batch.y.copy(), batch.source)

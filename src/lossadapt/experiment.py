@@ -208,7 +208,7 @@ def _build_datasets(
 ) -> tuple[Dataset, Dataset | None]:
     ds = config.dataset
     if ds.kind == "blobs":
-        train = make_blobs(ds.blob_spec(), child_rng(seed, _STREAM_DATA, 0))
+        train = make_blobs(ds, child_rng(seed, _STREAM_DATA, 0))
         test = make_blobs(ds.test_blob_spec(), child_rng(seed, _STREAM_DATA, 1))
         return train, test
     if ds.kind == "idx_files":
@@ -277,7 +277,7 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
 
     optimizer = LapOptimizer(
         config.optimizer.build(),
-        SourceRegistry(source_ids, params=config.lap.params()),
+        SourceRegistry(source_ids, params=config.lap),
         enabled=config.lap.enabled,
     )
     params = init_params(config.model, child_rng(seed, _STREAM_INIT))
@@ -319,7 +319,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     registry = optimizer.registry
     schedule_rng = child_rng(seed, _STREAM_SCHEDULE)
     corrupt_rng = child_rng(seed, _STREAM_CORRUPT)
-    corruption = config.sources.corruption_spec()
     trace = Trace(
         prep.source_ids,
         config.training.epochs * prep.steps_per_epoch,
@@ -350,7 +349,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                 batch = Batch(train.x[idx], train.y[idx], source)
                 if corrupt_at[step, column[source]]:
                     batch = apply_corruption(
-                        batch, corruption, train.n_classes, corrupt_rng
+                        batch, config.sources, train.n_classes, corrupt_rng
                     )
                 try:
                     loss, grads = loss_and_backward(params, config.model, batch)
@@ -582,43 +581,25 @@ def _time_overhead_pass(registry, losses, sources) -> float:
     return elapsed / len(sources)
 
 
-def measure_step_overhead(
-    n_sources: int,
-    history_length: int,
+def overhead_scaling_table(
+    source_grid=(5, 10, 20, 40),
+    history_grid=(25, 50, 100),
+    *,
     n_steps: int = 200,
     repeats: int = 5,
     seed: int = 0,
-) -> float:
-    """Seconds per optimizer step spent in the trust machinery.
-
-    Times record_loss (including the distrust update and reference-statistic
-    pass) plus the depression lookup on a prefilled registry, which is the
-    work the wrapper adds on top of a plain optimizer. Minimum over repeats,
-    with garbage collection paused and one untimed warm-up pass.
-    """
-    registry, losses, sources = _overhead_workload(
-        n_sources, history_length, n_steps, seed
-    )
-    _time_overhead_pass(registry, losses, sources)
-    return min(
-        _time_overhead_pass(registry, losses, sources) for _ in range(repeats)
-    )
-
-
-def overhead_scaling_table(
-    source_grid=(5, 10, 20, 40), history_grid=(25, 50, 100), **kwargs
 ) -> list[tuple[int, int, float]]:
-    """Per-step overhead for every grid cell, best of ``repeats`` passes.
+    """Seconds per optimizer step spent in the trust machinery, for every
+    grid cell of source count and history length.
 
-    Repeats are interleaved round-robin across cells so a transient load
-    spike degrades one pass everywhere instead of one cell's every pass;
-    the per-cell minimum then discards it.
+    Each pass times ``n_steps`` calls of record_loss (including the distrust
+    update and reference-statistic pass) plus the depression lookup on a
+    prefilled registry, which is the work the wrapper adds on top of a plain
+    optimizer, with garbage collection paused. Every cell gets one untimed
+    warm-up pass, then ``repeats`` timed passes interleaved round-robin
+    across cells, so a transient load spike degrades one pass everywhere
+    instead of one cell's every pass; the per-cell minimum then discards it.
     """
-    n_steps = kwargs.pop("n_steps", 200)
-    repeats = kwargs.pop("repeats", 5)
-    seed = kwargs.pop("seed", 0)
-    if kwargs:
-        raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
     cells = [(s, h) for s in source_grid for h in history_grid]
     workloads = {
         cell: _overhead_workload(cell[0], cell[1], n_steps, seed)

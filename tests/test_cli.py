@@ -123,6 +123,17 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert rows[0][0] == "leniency"
 
+    def test_every_axis_flag_reaches_the_grid(self, tmp_path, capsys):
+        config = write_config(tmp_path, training={"epochs": 1, "batch_size": 4})
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(config), "--out", str(out),
+                     "--leniency", "0.4", "--depression-strength", "2",
+                     "--history-length", "3", "--corruption-rate", "0.5"])
+        assert code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:4] == ["0.4", "2", "3", "0.5"]
+
 
 class TestWalkersCommand:
     def test_walker_csv_written(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from lossadapt.config import (
@@ -10,7 +11,10 @@ from lossadapt.config import (
     load_config,
     serialize_config,
 )
+from lossadapt.corruption import CorruptionSpec
+from lossadapt.datasets import BlobSpec, make_blobs
 from lossadapt.errors import ConfigError
+from lossadapt.trust import LapParams
 
 
 def write_config(tmp_path, payload):
@@ -75,6 +79,14 @@ class TestValidation:
     def test_idx_needs_paths(self):
         with pytest.raises(ConfigError, match="train_images"):
             config_from_dict({"dataset": {"kind": "idx_files"}})
+
+    def test_blob_values_checked_at_load(self):
+        with pytest.raises(ConfigError, match="n_classes"):
+            config_from_dict({"dataset": {"n_classes": 1}})
+        with pytest.raises(ConfigError, match="centers"):
+            config_from_dict(
+                {"dataset": {"n_classes": 3, "centers": [[0.0, 0.0], [1.0, 1.0]]}}
+            )
 
     def test_csv_needs_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):
@@ -143,27 +155,43 @@ class TestBuilders:
         assert adam.learning_rate == 0.001
 
     def test_lap_params_builder(self):
-        params = config_from_dict({"lap": {"history_length": 7}}).lap.params()
+        params = config_from_dict({"lap": {"history_length": 7}}).lap
+        assert isinstance(params, LapParams)
         assert params.history_length == 7
         assert params.leniency == 0.8
 
     def test_corruption_builder(self):
         spec = config_from_dict(
             {"sources": {"n_corrupt": 1, "mode": "chunk_shuffle", "n_chunks": 2}}
-        ).sources.corruption_spec()
+        ).sources
+        assert isinstance(spec, CorruptionSpec)
         assert spec.mode == "chunk_shuffle"
         assert spec.n_chunks == 2
 
-    def test_blob_spec_builders(self):
+    def test_dataset_section_draws_the_blob_spec_data(self):
+        fields = {"n_classes": 2, "n_per_class": 30, "spread": 0.7,
+                  "centers": [[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]]}
+        ds = config_from_dict(
+            {"dataset": {**fields, "n_test_per_class": 5}}
+        ).dataset
+        assert isinstance(ds, BlobSpec)
+        mine = make_blobs(ds, np.random.default_rng(3))
+        spec = make_blobs(BlobSpec(**fields), np.random.default_rng(3))
+        assert mine.x.tobytes() == spec.x.tobytes()
+        assert mine.y.tobytes() == spec.y.tobytes()
+        assert mine.n_classes == spec.n_classes
+
+    def test_test_blob_spec_defaults(self):
         ds = config_from_dict(
             {"dataset": {"n_per_class": 40, "n_test_per_class": 5}}
         ).dataset
-        assert ds.blob_spec().n_per_class == 40
         assert ds.test_blob_spec().n_per_class == 5
-        default_test = config_from_dict(
-            {"dataset": {"n_per_class": 40}}
-        ).dataset.test_blob_spec()
-        assert default_test.n_per_class == 10
+        for n_per_class, expected in ((40, 10), (41, 10), (7, 1), (3, 1)):
+            test_spec = config_from_dict(
+                {"dataset": {"n_per_class": n_per_class}}
+            ).dataset.test_blob_spec()
+            assert test_spec.n_per_class == expected
+            assert type(test_spec) is BlobSpec
 
 
 class TestKeyDoc:
@@ -181,3 +209,14 @@ class TestKeyDoc:
                 continue
             for key in value:
                 assert f"{section}.{key}" in documented, f"{section}.{key}"
+
+    def test_every_documented_key_exists(self):
+        raw = config_to_dict(config_from_dict({}))
+        # continuation lines are indented; key lines start at column 0
+        for line in CONFIG_KEY_DOC.splitlines():
+            if not line or line[0].isspace():
+                continue
+            section, _, key = line.split()[0].partition(".")
+            assert section in raw, section
+            if key:
+                assert key in raw[section], f"{section}.{key}"

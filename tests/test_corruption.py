@@ -322,6 +322,11 @@ class TestErrors:
             apply_corruption(b, CorruptionSpec(), 4, make_rng(0))
 
     def test_labels_out_of_domain_rejected(self):
-        b = Batch(np.ones((2, 3)), np.array([0, 4]))
-        with pytest.raises(DataError):
-            apply_corruption(b, CorruptionSpec(), 4, make_rng(0))
+        for y in (
+            np.array([0, 4]),
+            np.array([-1, 2], dtype=np.int8),
+            np.array([3, 4], dtype=np.int8),
+        ):
+            b = Batch(np.ones((2, 3)), y)
+            with pytest.raises(DataError):
+                apply_corruption(b, CorruptionSpec(), 4, make_rng(0))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lossadapt import experiment, optim
-from lossadapt.config import config_from_dict, load_config
+from lossadapt.config import config_from_dict, load_config, serialize_config
 from lossadapt.errors import ConfigError, NumericError
 from lossadapt.experiment import (
     METRICS_CSV_COLUMNS,
@@ -22,7 +22,6 @@ from lossadapt.experiment import (
     TRACE_CSV_COLUMNS,
     Trace,
     fit_overhead_linear,
-    measure_step_overhead,
     overhead_scaling_table,
     prepare_run,
     run_experiment,
@@ -354,16 +353,13 @@ class TestSweep:
 
 
 class TestOverhead:
-    def test_measure_returns_positive_seconds(self):
-        t = measure_step_overhead(4, 10, n_steps=50, repeats=2)
-        assert 0.0 < t < 0.01
-
     def test_table_covers_grid(self):
         table = overhead_scaling_table(
             source_grid=(3, 5), history_grid=(5, 10), n_steps=30, repeats=1
         )
         assert len(table) == 4
         assert {(s, h) for s, h, _ in table} == {(3, 5), (3, 10), (5, 5), (5, 10)}
+        assert all(0.0 < t < 0.01 for _, _, t in table)
 
     def test_fit_recovers_perfect_line(self):
         table = [(s, h, 1e-6 + 2e-9 * s * h) for s in (5, 10) for h in (25, 50)]
@@ -444,6 +440,26 @@ def test_outputs_match_golden_hashes(variant, tmp_path):
         for name in ("metrics.csv", "trace_seed0.csv", "trace_seed1.csv")
     )
     assert hashes == GOLDEN_HASHES[variant]
+
+
+# SHA-256 of the config.json that run_experiment writes beside those files
+GOLDEN_CONFIG_HASHES = {
+    "default": "5712d0e0d20e93a06f3c2e8de6f8fbe416b63e397f0006b2e0a51df07a471a85",
+    "exclude_corrupt": "f1962983a13f880c6237c39e8947673b70e7425cf40165a5084fe893981d2eb2",
+    "flip": "8379c181c6213acf48d4272c80da84377e9fef38a5bf9fefe3c17a58eae7812f",
+    "hold_off": "fa1a2aa355fe45ddb8400c49a52cd3025c097335c7330044f53e06fee970ca29",
+    "lap_off": "4125fffa664cf564b0eb5ef796440b629bd08593add974fd54a4847b09882cf4",
+    "sgd_momentum": "f58756e1ee1f8cd449208dfb5cd96b98cdbde9dfdd574b35da6ecf1ac8dcc9c8",
+    "upsample": "be1c408c70148ce943125e20e04bfab8ca9f1fa6c5de013e9a8ba5081aa57a13",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS))
+def test_config_sidecar_matches_golden_hashes(variant, tmp_path):
+    path = tmp_path / "config.json"
+    serialize_config(golden_config(variant), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CONFIG_HASHES[variant]
 
 
 @pytest.mark.parametrize("variant", ["lap_off", "hold_off", "flip"])
