@@ -112,6 +112,11 @@ class OptimizerConfig:
             raise ConfigError(
                 f"optimizer.kind: {self.kind!r} not one of {OPTIMIZER_KINDS}"
             )
+        # the optimizers own their checks; building one runs them at load
+        try:
+            self.build()
+        except ConfigError as exc:
+            raise ConfigError(f"optimizer.{exc}") from None
 
     def build(self):
         """Fresh optimizer instance (state is per run)."""
@@ -211,15 +216,8 @@ class ExperimentConfig:
         return dc_replace(self, **kwargs)
 
 
-def _build(cls, section: dict, name: str, casts: dict | None = None):
-    casts = casts or {}
-    kwargs = {}
-    for f in cls.__dataclass_fields__:
-        if f in section:
-            value = section.pop(f)
-            if f in casts and value is not None:
-                value = casts[f](value)
-            kwargs[f] = value
+def _build(cls, section: dict, name: str):
+    kwargs = {f: section.pop(f) for f in cls.__dataclass_fields__ if f in section}
     _no_leftovers(section, name)
     try:
         return cls(**kwargs)
@@ -234,16 +232,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     raw = dict(raw)
     dataset = _build(DatasetConfig, _section(raw, "dataset"), "dataset")
-    model = _build(
-        ModelSpec, _section(raw, "model"), "model", {"layer_widths": tuple}
-    )
+    model = _build(ModelSpec, _section(raw, "model"), "model")
     optimizer = _build(OptimizerConfig, _section(raw, "optimizer"), "optimizer")
     lap = _build(LapConfig, _section(raw, "lap"), "lap")
     sources = _build(SourceConfig, _section(raw, "sources"), "sources")
-    training = _build(
-        TrainingConfig, _section(raw, "training"), "training",
-        {"train_val_ratio": tuple},
-    )
+    training = _build(TrainingConfig, _section(raw, "training"), "training")
     seeds = raw.pop("seeds", (0,))
     output_dir = raw.pop("output_dir", None)
     for name in ("dataset", "model", "optimizer", "lap", "sources", "training"):

@@ -69,20 +69,20 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(
-                f"corruption.mode: {self.mode!r} is not one of {MODES}"
+                f"sources.mode: {self.mode!r} is not one of {MODES}"
             )
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise ConfigError(
-                f"corruption.corruption_rate must lie in [0, 1], "
+                f"sources.corruption_rate must lie in [0, 1], "
                 f"got {self.corruption_rate}"
             )
         if self.n_chunks < 1:
             raise ConfigError(
-                f"corruption.n_chunks must be >= 1, got {self.n_chunks}"
+                f"sources.n_chunks must be >= 1, got {self.n_chunks}"
             )
         if self.chunk_axis < 0:
             raise ConfigError(
-                f"corruption.chunk_axis must be >= 0, got {self.chunk_axis}"
+                f"sources.chunk_axis must be >= 0, got {self.chunk_axis}"
             )
 
 
@@ -94,7 +94,6 @@ class SourcePlan:
     n_sources: int
     corrupt_source_ids: frozenset[int]
     assignment: np.ndarray = field(repr=False)
-    seed: int | None = None
 
     def items_of(self, source: int) -> np.ndarray:
         """Dataset indices belonging to ``source``."""
@@ -112,14 +111,10 @@ def split_into_sources(
     n_sources: int,
     rng: np.random.Generator,
     n_corrupt: int = 0,
-    seed: int | None = None,
 ) -> SourcePlan:
     """Randomly partition ``n_items`` indices into ``n_sources`` near-equal
     sources (sizes differ by at most 1) and draw ``n_corrupt`` of the sources
     to be the unreliable ones.
-
-    ``seed`` is provenance only, recorded on the plan; randomness comes from
-    ``rng``.
     """
     if n_sources < 2:
         raise ConfigError(f"n_sources must be >= 2, got {n_sources}")
@@ -142,7 +137,6 @@ def split_into_sources(
         n_sources=n_sources,
         corrupt_source_ids=corrupt,
         assignment=assignment,
-        seed=seed,
     )
 
 
@@ -151,13 +145,13 @@ def _shuffle_chunks(x_item: np.ndarray, spec: CorruptionSpec,
     axis = spec.chunk_axis
     if axis >= x_item.ndim:
         raise ConfigError(
-            f"corruption.chunk_axis {axis} out of range for input with "
+            f"sources.chunk_axis {axis} out of range for input with "
             f"{x_item.ndim} per-item axes"
         )
     length = x_item.shape[axis]
     if spec.n_chunks > length:
         raise ConfigError(
-            f"corruption.n_chunks {spec.n_chunks} exceeds axis length {length}"
+            f"sources.n_chunks {spec.n_chunks} exceeds axis length {length}"
         )
     chunks = np.array_split(x_item, spec.n_chunks, axis=axis)
     order = rng.permutation(spec.n_chunks)

@@ -78,13 +78,13 @@ class BlobSpec:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ConfigError(f"blobs.n_classes must be >= 2, got {self.n_classes}")
+            raise ConfigError(f"dataset.n_classes must be >= 2, got {self.n_classes}")
         if self.n_per_class < 1:
             raise ConfigError(
-                f"blobs.n_per_class must be >= 1, got {self.n_per_class}"
+                f"dataset.n_per_class must be >= 1, got {self.n_per_class}"
             )
         if self.spread < 0:
-            raise ConfigError(f"blobs.spread must be >= 0, got {self.spread}")
+            raise ConfigError(f"dataset.spread must be >= 0, got {self.spread}")
         if self.centers is not None:
             object.__setattr__(
                 self,
@@ -93,14 +93,14 @@ class BlobSpec:
             )
             if len(self.centers) != self.n_classes:
                 raise ConfigError(
-                    f"blobs.centers: {len(self.centers)} centers for "
+                    f"dataset.centers: {len(self.centers)} centers for "
                     f"{self.n_classes} classes"
                 )
             dims = {len(c) for c in self.centers}
             if len(dims) != 1:
-                raise ConfigError("blobs.centers: inconsistent dimensions")
+                raise ConfigError("dataset.centers: inconsistent dimensions")
             if len(set(self.centers)) != len(self.centers):
-                raise ConfigError("blobs.centers must be pairwise distinct")
+                raise ConfigError("dataset.centers must be pairwise distinct")
 
     def center_array(self) -> np.ndarray:
         if self.centers is None:

@@ -15,10 +15,8 @@ repeats of the same config + seed.
 from __future__ import annotations
 
 import csv
-import gc
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from functools import partial
@@ -40,7 +38,7 @@ from .errors import ConfigError, NumericError
 from .models import Batch, evaluate, init_params, loss_and_backward
 from .optim import LapOptimizer
 from .rng import child_rng
-from .trust import LapParams, SourceRegistry, depression_value
+from .trust import SourceRegistry, depression_value
 
 METRICS_CSV_COLUMNS = ("seed", "epoch", "split", "accuracy", "mean_loss")
 TRACE_CSV_COLUMNS = ("step", "source_id", "distrust", "gradient_scale", "is_corrupt")
@@ -188,7 +186,8 @@ class ExperimentResult:
 
 @dataclass
 class PreparedRun:
-    """Everything a run needs, exposed for inspection and tests."""
+    """A run's data and step plan, exposed for inspection and tests; the
+    model and optimizer are built by :func:`run_single`."""
 
     seed: int
     train: Dataset
@@ -198,8 +197,6 @@ class PreparedRun:
     source_ids: tuple[int, ...]
     # each source's training items, after upsampling when it is on
     items_by_source: dict[int, np.ndarray]
-    optimizer: LapOptimizer
-    params: object
     steps_per_epoch: int
 
 
@@ -262,7 +259,6 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
         config.sources.n_sources,
         child_rng(seed, _STREAM_SOURCES),
         n_corrupt=config.sources.n_corrupt,
-        seed=seed,
     )
     if config.sources.exclude_corrupt_from_training:
         source_ids = tuple(
@@ -275,12 +271,6 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
     else:
         source_ids = tuple(range(plan.n_sources))
 
-    optimizer = LapOptimizer(
-        config.optimizer.build(),
-        SourceRegistry(source_ids, params=config.lap),
-        enabled=config.lap.enabled,
-    )
-    params = init_params(config.model, child_rng(seed, _STREAM_INIT))
     items_by_source = {s: plan.items_of(s) for s in source_ids}
     if config.sources.upsample:
         upsample_rng = child_rng(seed, _STREAM_SOURCES, 1)
@@ -298,8 +288,6 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
         plan=plan,
         source_ids=source_ids,
         items_by_source=items_by_source,
-        optimizer=optimizer,
-        params=params,
         steps_per_epoch=sum(
             math.ceil(len(v) / config.training.batch_size)
             for v in items_by_source.values()
@@ -315,8 +303,11 @@ def total_steps(config: ExperimentConfig, seed: int = 0) -> int:
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     prep = prepare_run(config, seed)
     train, val, test = prep.train, prep.val, prep.test
-    optimizer, params = prep.optimizer, prep.params
-    registry = optimizer.registry
+    registry = SourceRegistry(prep.source_ids, params=config.lap)
+    optimizer = LapOptimizer(
+        config.optimizer.build(), registry, enabled=config.lap.enabled
+    )
+    params = init_params(config.model, child_rng(seed, _STREAM_INIT))
     schedule_rng = child_rng(seed, _STREAM_SCHEDULE)
     corrupt_rng = child_rng(seed, _STREAM_CORRUPT)
     trace = Trace(
@@ -546,82 +537,3 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
                     f"{r.std_accuracy:.10g}",
                 ]
             )
-
-
-# -- overhead measurement -------------------------------------------------
-
-
-def _overhead_workload(n_sources, history_length, n_steps, seed):
-    rng = child_rng(seed, n_sources, history_length)
-    histories = {
-        s: list(rng.normal(1.0, 0.1, history_length)) for s in range(n_sources)
-    }
-    registry = SourceRegistry.from_histories(
-        histories, params=LapParams(history_length=history_length)
-    )
-    losses = rng.normal(1.0, 0.1, n_steps)
-    sources = [int(v) for v in rng.integers(0, n_sources, n_steps)]
-    return registry, losses, sources
-
-
-def _time_overhead_pass(registry, losses, sources) -> float:
-    record = registry.record_loss
-    depression = registry.depression
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for s, value in zip(sources, losses):
-            record(s, value)
-            depression(s)
-        elapsed = time.perf_counter() - start
-    finally:
-        if gc_was_on:
-            gc.enable()
-    return elapsed / len(sources)
-
-
-def overhead_scaling_table(
-    source_grid=(5, 10, 20, 40),
-    history_grid=(25, 50, 100),
-    *,
-    n_steps: int = 200,
-    repeats: int = 5,
-    seed: int = 0,
-) -> list[tuple[int, int, float]]:
-    """Seconds per optimizer step spent in the trust machinery, for every
-    grid cell of source count and history length.
-
-    Each pass times ``n_steps`` calls of record_loss (including the distrust
-    update and reference-statistic pass) plus the depression lookup on a
-    prefilled registry, which is the work the wrapper adds on top of a plain
-    optimizer, with garbage collection paused. Every cell gets one untimed
-    warm-up pass, then ``repeats`` timed passes interleaved round-robin
-    across cells, so a transient load spike degrades one pass everywhere
-    instead of one cell's every pass; the per-cell minimum then discards it.
-    """
-    cells = [(s, h) for s in source_grid for h in history_grid]
-    workloads = {
-        cell: _overhead_workload(cell[0], cell[1], n_steps, seed)
-        for cell in cells
-    }
-    best = {cell: math.inf for cell in cells}
-    for cell in cells:
-        _time_overhead_pass(*workloads[cell])
-    for _ in range(repeats):
-        for cell in cells:
-            best[cell] = min(best[cell], _time_overhead_pass(*workloads[cell]))
-    return [(s, h, best[(s, h)]) for s, h in cells]
-
-
-def fit_overhead_linear(table) -> tuple[float, float, float]:
-    """Least-squares fit overhead ~ slope * (h*|S|) + intercept; returns
-    (slope, intercept, r_squared)."""
-    x = np.array([s * h for s, h, _ in table], dtype=np.float64)
-    y = np.array([t for _, _, t in table], dtype=np.float64)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(intercept), r2

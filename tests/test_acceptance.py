@@ -31,8 +31,6 @@ import conftest
 
 from lossadapt.config import config_from_dict
 from lossadapt.experiment import (
-    overhead_scaling_table,
-    fit_overhead_linear,
     run_experiment,
     run_single,
     total_steps,
@@ -46,6 +44,11 @@ from lossadapt.models import (
 from lossadapt.rng import make_rng
 from lossadapt.trust import LapParams, SourceRegistry
 from lossadapt.walkers import WalkerConfig, simulate_walkers
+
+# the trust-cost timer lives in the script that reports it
+_overhead = conftest.load_script("run_overhead_scaling")
+overhead_scaling_table = _overhead.overhead_scaling_table
+fit_overhead_linear = _overhead.fit_overhead_linear
 
 SEEDS = tuple(range(10))
 

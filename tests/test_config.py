@@ -61,7 +61,7 @@ class TestValidation:
             config_from_dict({"outputs": "runs"})
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError, match="corruption.mode"):
+        with pytest.raises(ConfigError, match="sources.mode"):
             config_from_dict({"sources": {"mode": "pepper"}})
 
     def test_bad_batch_size(self):
@@ -81,12 +81,39 @@ class TestValidation:
             config_from_dict({"dataset": {"kind": "idx_files"}})
 
     def test_blob_values_checked_at_load(self):
-        with pytest.raises(ConfigError, match="n_classes"):
+        with pytest.raises(ConfigError, match="dataset.n_classes"):
             config_from_dict({"dataset": {"n_classes": 1}})
         with pytest.raises(ConfigError, match="centers"):
             config_from_dict(
                 {"dataset": {"n_classes": 3, "centers": [[0.0, 0.0], [1.0, 1.0]]}}
             )
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"model": {"layer_widths": 5}}, "model: 'int' object is not iterable"),
+            ({"training": {"train_val_ratio": 3}},
+             "training: 'int' object is not iterable"),
+        ],
+        ids=["layer_widths", "train_val_ratio"],
+    )
+    def test_scalar_where_list_expected(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "optimizer, message",
+        [
+            ({"kind": "adam", "learning_rate": -1},
+             "optimizer.learning_rate must be > 0"),
+            ({"kind": "sgd", "momentum": 1.5},
+             r"optimizer.momentum must lie in \[0, 1\)"),
+        ],
+        ids=["adam_learning_rate", "sgd_momentum"],
+    )
+    def test_optimizer_values_checked_at_load(self, optimizer, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"optimizer": optimizer})
 
     def test_csv_needs_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
+
 from lossadapt import experiment, optim
 from lossadapt.config import config_from_dict, load_config, serialize_config
 from lossadapt.errors import ConfigError, NumericError
@@ -21,8 +23,6 @@ from lossadapt.experiment import (
     TRACE_BLOCK,
     TRACE_CSV_COLUMNS,
     Trace,
-    fit_overhead_linear,
-    overhead_scaling_table,
     prepare_run,
     run_experiment,
     run_single,
@@ -33,6 +33,8 @@ from lossadapt.experiment import (
 )
 from lossadapt.models import evaluate
 from lossadapt.trust import depression_value
+
+overhead = conftest.load_script("run_overhead_scaling")
 
 
 def small_config(**overrides):
@@ -97,6 +99,17 @@ class TestRunSingle:
         result = run_single(config, 3)
         steps = {r.step for r in result.trace}
         assert len(steps) == config.training.epochs * prep.steps_per_epoch
+
+    def test_total_steps_builds_no_model_or_optimizer(self, monkeypatch):
+        config = small_config()
+        steps = len(run_single(config, 0).trace.distrust)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("total_steps built a model or an optimizer")
+
+        monkeypatch.setattr(experiment, "init_params", refuse)
+        monkeypatch.setattr(experiment, "LapOptimizer", refuse)
+        assert total_steps(config) == steps
 
     def test_evaluation_uses_clean_splits(self):
         # recompute every final-epoch metric from the stored clean arrays
@@ -354,7 +367,7 @@ class TestSweep:
 
 class TestOverhead:
     def test_table_covers_grid(self):
-        table = overhead_scaling_table(
+        table = overhead.overhead_scaling_table(
             source_grid=(3, 5), history_grid=(5, 10), n_steps=30, repeats=1
         )
         assert len(table) == 4
@@ -363,7 +376,7 @@ class TestOverhead:
 
     def test_fit_recovers_perfect_line(self):
         table = [(s, h, 1e-6 + 2e-9 * s * h) for s in (5, 10) for h in (25, 50)]
-        slope, intercept, r2 = fit_overhead_linear(table)
+        slope, intercept, r2 = overhead.fit_overhead_linear(table)
         assert slope == pytest.approx(2e-9, rel=1e-6)
         assert intercept == pytest.approx(1e-6, rel=1e-4)
         assert r2 == pytest.approx(1.0, abs=1e-12)
