@@ -51,11 +51,11 @@ def main() -> None:
     config = config.replace(
         sources=replace(config.sources, reliability_flip_step=flip)
     )
-    result = run_experiment(config)
+    runs = run_experiment(config)
 
     print(f"flip at step {flip} of {steps}")
     finals = []
-    for run in result.runs:
+    for run in runs:
         flipped = sorted(run.corrupt_source_ids)
         scales = [run.final_scales[s] for s in flipped]
         columns = [run.trace.source_ids.index(s) for s in flipped]

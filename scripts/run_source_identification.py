@@ -44,9 +44,9 @@ def main() -> None:
             "output_dir": args.out,
         }
     )
-    result = run_experiment(config)
+    runs = run_experiment(config)
 
-    for run in result.runs:
+    for run in runs:
         scales = [run.final_scales[s] for s in sorted(run.final_scales)]
         flagged = [s for s in sorted(run.final_scales) if run.final_scales[s] < 0.5]
         print(
@@ -54,7 +54,7 @@ def main() -> None:
             f"corrupt {sorted(run.corrupt_source_ids)} flagged {flagged}"
         )
         print("  scales " + " ".join(f"{v:.3f}" for v in scales))
-    accs = [run.final_accuracy("test") for run in result.runs]
+    accs = [run.final_accuracy("test") for run in runs]
     print(f"mean test accuracy {np.mean(accs):.4f} +- {np.std(accs):.4f}")
     print(f"outputs in {args.out}")
 

@@ -39,11 +39,9 @@ from .errors import (
     UnknownSourceError,
 )
 from .experiment import (
-    ExperimentResult,
     MetricsRecord,
     RunResult,
     Trace,
-    TraceRow,
     run_experiment,
     run_single,
     sweep,
@@ -82,7 +80,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "ExperimentConfig",
-    "ExperimentResult",
     "FormatError",
     "GradientSet",
     "LapOptimizer",
@@ -100,7 +97,6 @@ __all__ = [
     "SourceRegistry",
     "StateError",
     "Trace",
-    "TraceRow",
     "UnknownSourceError",
     "WalkerConfig",
     "apply_corruption",

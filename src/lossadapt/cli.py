@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .config import CONFIG_KEY_DOC, load_config
 from .errors import LossAdaptError
-from .experiment import SWEEP_AXES, run_experiment, sweep, write_sweep_csv
+from .experiment import SWEEP_AXES, TRACE_CSV_COLUMNS, run_experiment, sweep
+from .experiment import write_sweep_csv
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
 
 
@@ -106,8 +107,7 @@ def _cmd_run(args) -> int:
         from dataclasses import replace as dc_replace
 
         config = config.replace(lap=dc_replace(config.lap, enabled=args.lap == "on"))
-    result = run_experiment(config, out_dir=args.out)
-    for run in result.runs:
+    for run in run_experiment(config, out_dir=args.out):
         parts = [f"seed {run.seed}:"]
         for split in ("train", "val", "test"):
             try:
@@ -179,9 +179,7 @@ def _cmd_inspect_trace(args) -> int:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
-    if not rows or set(reader.fieldnames or ()) != {
-        "step", "source_id", "distrust", "gradient_scale", "is_corrupt"
-    }:
+    if not rows or set(reader.fieldnames or ()) != set(TRACE_CSV_COLUMNS):
         print(f"error: {path} is not a trace CSV", file=sys.stderr)
         return 2
     last_step = max(int(r["step"]) for r in rows)

@@ -40,6 +40,26 @@ def _section(raw: dict, name: str) -> dict:
     return dict(value)
 
 
+# the JSON values each declared field type accepts; other types are left to
+# the specs' own checks, so float fields still accept integers
+_ACCEPTED = {
+    "bool": (bool,),
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "str | None": (str, type(None)),
+}
+
+
+def _check_type(key: str, value, declared: str) -> None:
+    accepted = _ACCEPTED.get(declared)
+    # a bool is an int to isinstance, but never an int here
+    if accepted and (
+        not isinstance(value, accepted)
+        or isinstance(value, bool) and bool not in accepted
+    ):
+        raise ConfigError(f"{key}: expected {declared}, got {value!r}")
+
+
 def _no_leftovers(section: dict, name: str) -> None:
     if section:
         key = sorted(section)[0]
@@ -219,6 +239,8 @@ class ExperimentConfig:
 def _build(cls, section: dict, name: str):
     kwargs = {f: section.pop(f) for f in cls.__dataclass_fields__ if f in section}
     _no_leftovers(section, name)
+    for key, value in kwargs.items():
+        _check_type(f"{name}.{key}", value, cls.__dataclass_fields__[key].type)
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -244,6 +266,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _no_leftovers(raw, "config")
     if not isinstance(seeds, (list, tuple)):
         raise ConfigError(f"seeds: expected a list, got {type(seeds).__name__}")
+    for seed in seeds:
+        _check_type("seeds", seed, "int")
+    _check_type("output_dir", output_dir, "str | None")
     return ExperimentConfig(
         dataset=dataset,
         model=model,

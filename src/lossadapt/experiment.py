@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from functools import partial
 from pathlib import Path
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_dict, serialize_config
+from .config import ExperimentConfig, serialize_config
 from .corruption import SourcePlan, apply_corruption, split_into_sources
 from .datasets import (
     Dataset,
@@ -74,22 +74,12 @@ class MetricsRecord:
     mean_loss: float
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    step: int
-    source_id: int
-    distrust: float
-    gradient_scale: float
-    is_corrupt: bool
-
-
 class Trace:
     """Every source's distrust after every optimizer step of one run.
 
     Held as arrays: one float64 and one flag per step and source, and one
     flag per step. Gradient scales are derived from distrust once per
-    distinct level. Iterating yields the rows of the trace file as
-    :class:`TraceRow`, step by step, sources in registration order.
+    distinct level. Columns follow ``source_ids``, in registration order.
 
     distrust            float64 (steps, n_sources)
     depression_applied  bool (steps,): the step's gradients were scaled by
@@ -114,7 +104,7 @@ class Trace:
         self.is_corrupt = np.zeros((steps, n), dtype=bool)
         self.is_corrupt[:flip_step] = [s in corrupt_source_ids for s in self.source_ids]
 
-    def _level_lookup(self) -> tuple[list[float], list[float], Callable]:
+    def levels(self) -> tuple[list[float], list[float], Callable]:
         """The distinct distrust levels in ascending order, the gradient
         scale of each while depression applies, and a function mapping
         distrust values to their indices into both. The levels are gathered
@@ -133,31 +123,17 @@ class Trace:
         scales = [1.0 - depression_value(v, strength) for v in values]
         return values, scales, partial(np.searchsorted, distinct)
 
-    def levels(self) -> tuple[list[float], list[float], np.ndarray]:
-        """The distinct distrust levels, the gradient scale of each while
-        depression applies, and every cell's index into both."""
-        values, scales, index_of = self._level_lookup()
-        return values, scales, index_of(self.distrust)
-
     def gradient_scales(self) -> np.ndarray:
-        """(steps, n_sources) gradient scale of every source at every step."""
-        _, scales, index = self.levels()
-        return np.where(
-            self.depression_applied[:, None], np.array(scales)[index], 1.0
-        )
-
-    def __len__(self) -> int:
-        return self.distrust.size
-
-    def __iter__(self):
-        values, scales, index = self.levels()
-        ids = self.source_ids
-        rows = zip(
-            self.depression_applied.tolist(), index.tolist(), self.is_corrupt.tolist()
-        )
-        for step, (applied, levels, corrupt) in enumerate(rows):
-            for s, k, c in zip(ids, levels, corrupt):
-                yield TraceRow(step, s, values[k], scales[k] if applied else 1.0, c)
+        """(steps, n_sources) gradient scale of every source at every step,
+        filled :data:`TRACE_BLOCK` steps at a time."""
+        _, scales, index_of = self.levels()
+        scales = np.array(scales)
+        out = np.ones_like(self.distrust)
+        for start in range(0, len(out), TRACE_BLOCK):
+            rows = slice(start, start + TRACE_BLOCK)
+            applied = self.depression_applied[rows]
+            out[rows][applied] = scales[index_of(self.distrust[rows][applied])]
+        return out
 
 
 @dataclass
@@ -165,7 +141,6 @@ class RunResult:
     seed: int
     records: list[MetricsRecord]
     trace: Trace
-    source_ids: tuple[int, ...]
     corrupt_source_ids: frozenset[int]
     final_scales: dict[int, float]
     final_distrust: dict[int, float]
@@ -176,12 +151,6 @@ class RunResult:
             if record.split == split:
                 return record.accuracy
         raise KeyError(f"no records for split {split!r}")
-
-
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    runs: list[RunResult] = field(default_factory=list)
 
 
 @dataclass
@@ -373,7 +342,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         seed=seed,
         records=records,
         trace=trace,
-        source_ids=prep.source_ids,
         corrupt_source_ids=prep.plan.corrupt_source_ids,
         final_scales={s: scale for s, _, scale in final},
         final_distrust={s: distrust for s, distrust, _ in final},
@@ -397,7 +365,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     Lines are rendered and written :data:`TRACE_BLOCK` steps at a time, so
     the memory this takes does not grow with the number of steps."""
-    values, scales, index_of = trace._level_lookup()
+    values, scales, index_of = trace.levels()
     n = len(values)
     # each line after "step,source_id," is one of four texts per distrust
     # level, picked by the step's depression flag and the corrupt flag
@@ -427,23 +395,21 @@ def write_trace_csv(trace: Trace, path) -> None:
             fh.write("".join(block.ravel().tolist()))
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
-    """Run every seed in the config; optionally persist metrics, per-seed
-    traces, and the resolved config under ``out_dir``."""
-    result = ExperimentResult(config=config)
-    for seed in config.seeds:
-        result.runs.append(run_single(config, seed))
+def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunResult]:
+    """Run every seed in the config, in order; optionally persist metrics,
+    per-seed traces, and the resolved config under ``out_dir``."""
+    runs = [run_single(config, seed) for seed in config.seeds]
 
     target = out_dir if out_dir is not None else config.output_dir
     if target is not None:
         target = Path(target)
         target.mkdir(parents=True, exist_ok=True)
         serialize_config(config, target / "config.json")
-        all_records = [r for run in result.runs for r in run.records]
+        all_records = [r for run in runs for r in run.records]
         write_metrics_csv(all_records, target / "metrics.csv")
-        for run in result.runs:
+        for run in runs:
             write_trace_csv(run.trace, target / f"trace_seed{run.seed}.csv")
-    return result
+    return runs
 
 
 # -- parameter sweeps -----------------------------------------------------
@@ -500,9 +466,8 @@ def sweep(config: ExperimentConfig, grid: dict) -> list[SweepRow]:
     for combo in itertools.product(*(grid[k] for k in axes)):
         point = dict(zip(axes, combo))
         point_config = _apply_point(config, point).replace(output_dir=None)
-        result = run_experiment(point_config)
         accs = []
-        for run in result.runs:
+        for run in run_experiment(point_config):
             try:
                 accs.append(run.final_accuracy("test"))
             except KeyError:

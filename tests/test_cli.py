@@ -10,6 +10,8 @@ import pytest
 
 import lossadapt
 from lossadapt.cli import build_parser, main
+from lossadapt.config import load_config
+from lossadapt.experiment import run_experiment
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,6 +162,26 @@ class TestInspectCommand:
         assert "4 sources" in text
         assert "source 0:" in text
         assert "corrupt" in text
+
+    def test_last_n_averages_match_trace_arrays(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (run,) = run_experiment(load_config(write_config(tmp_path)), out_dir=out)
+        trace = run.trace
+        code = main(["inspect-trace", str(out / "trace_seed0.csv"), "--last", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        steps = len(trace.distrust)
+        assert lines[0] == f"steps 0..{steps - 1}, 4 sources, averaging last 3 step(s)"
+        means = zip(
+            trace.source_ids,
+            trace.distrust[-3:].mean(axis=0),
+            trace.gradient_scales()[-3:].mean(axis=0),
+            trace.is_corrupt[-1],
+        )
+        assert lines[1:] == [
+            f"source {s}: distrust {d:.1f} scale {g:.4f}" + (" corrupt" if c else "")
+            for s, d, g, c in means
+        ]
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["inspect-trace", str(tmp_path / "none.csv")])

@@ -115,6 +115,40 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"optimizer": optimizer})
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"seeds": ["a"]}, "seeds: expected int"),
+            ({"seeds": [None]}, "seeds: expected int"),
+            ({"lap": {"enabled": "no"}}, "lap.enabled: expected bool"),
+            ({"sources": {"upsample": "no"}}, "sources.upsample: expected bool"),
+            ({"sources": {"exclude_corrupt_from_training": "yes"}},
+             "sources.exclude_corrupt_from_training: expected bool"),
+            ({"output_dir": 5}, r"output_dir: expected str \| None"),
+            ({"training": {"epochs": 2.5}}, "training.epochs: expected int"),
+            ({"lap": {"history_length": 2.5}}, "lap.history_length: expected int"),
+            ({"training": {"epochs": True}}, "training.epochs: expected int"),
+        ],
+        ids=[
+            "seed_str", "seed_null", "lap_enabled_str", "upsample_str",
+            "exclude_corrupt_str", "output_dir_int", "epochs_float",
+            "history_length_float", "epochs_bool",
+        ],
+    )
+    def test_value_types_checked_at_load(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+    def test_int_for_float_and_null_for_optional_load(self):
+        config = config_from_dict({
+            "lap": {"leniency": 1},
+            "dataset": {"n_test_per_class": None},
+            "sources": {"reliability_flip_step": None},
+        })
+        assert config.lap.leniency == 1
+        assert config.dataset.n_test_per_class is None
+        assert config.sources.reliability_flip_step is None
+
     def test_csv_needs_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):
             config_from_dict({"dataset": {"kind": "csv"}})

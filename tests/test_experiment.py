@@ -33,6 +33,7 @@ from lossadapt.experiment import (
 )
 from lossadapt.models import evaluate
 from lossadapt.trust import depression_value
+from test_acceptance import _identification_config
 
 overhead = conftest.load_script("run_overhead_scaling")
 
@@ -68,16 +69,15 @@ class TestRunSingle:
         config = small_config()
         result = run_single(config, 0)
         steps = total_steps(config)
-        assert len(result.trace) == steps * 5
-        by_step = {}
-        for row in result.trace:
-            by_step.setdefault(row.step, set()).add(row.source_id)
-        assert set(by_step) == set(range(steps))
-        assert all(ids == {0, 1, 2, 3, 4} for ids in by_step.values())
-        for row in result.trace:
-            assert 0.0 < row.gradient_scale <= 1.0
-            assert row.distrust >= 0.0
-            assert row.is_corrupt == (row.source_id in result.corrupt_source_ids)
+        trace = result.trace
+        assert trace.source_ids == (0, 1, 2, 3, 4)
+        assert trace.distrust.shape == trace.is_corrupt.shape == (steps, 5)
+        assert trace.depression_applied.shape == (steps,)
+        scales = trace.gradient_scales()
+        assert ((scales > 0.0) & (scales <= 1.0)).all()
+        assert (trace.distrust >= 0.0).all()
+        corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
+        assert (trace.is_corrupt == corrupt).all()
 
     def test_round_robin_fairness(self):
         # without upsampling each source trains on exactly its own items, so
@@ -97,8 +97,8 @@ class TestRunSingle:
         assert max(per_epoch) - min(per_epoch) <= 1
         assert prep.steps_per_epoch == sum(per_epoch)
         result = run_single(config, 3)
-        steps = {r.step for r in result.trace}
-        assert len(steps) == config.training.epochs * prep.steps_per_epoch
+        steps = len(result.trace.distrust)
+        assert steps == config.training.epochs * prep.steps_per_epoch
 
     def test_total_steps_builds_no_model_or_optimizer(self, monkeypatch):
         config = small_config()
@@ -165,12 +165,11 @@ class TestFlipAndFlags:
             }
         )
         result = run_single(config, 0)
-        for row in result.trace:
-            if row.source_id in result.corrupt_source_ids:
-                assert row.is_corrupt == (row.step < 10)
-            else:
-                assert not row.is_corrupt
         trace = result.trace
+        before_flip = np.arange(len(trace.is_corrupt)) < 10
+        for column, source in enumerate(trace.source_ids):
+            expected = before_flip & (source in result.corrupt_source_ids)
+            np.testing.assert_array_equal(trace.is_corrupt[:, column], expected)
         corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
         assert (trace.is_corrupt[:10] == corrupt).all()
         assert not trace.is_corrupt[10:].any()
@@ -189,9 +188,8 @@ class TestFlipAndFlags:
         )
         result = run_single(config, 2)
         corrupt = next(iter(result.corrupt_source_ids))
-        peak = max(
-            r.distrust for r in result.trace if r.source_id == corrupt
-        )
+        trace = result.trace
+        peak = trace.distrust[:, trace.source_ids.index(corrupt)].max()
         final = result.final_distrust[corrupt]
         assert peak > 20.0
         assert final < peak / 2
@@ -206,10 +204,11 @@ class TestFlipAndFlags:
             }
         )
         result = run_single(config, 0)
-        assert len(result.source_ids) == 3
-        assert set(result.source_ids).isdisjoint(result.corrupt_source_ids)
-        traced = {r.source_id for r in result.trace}
-        assert traced == set(result.source_ids)
+        traced = result.trace.source_ids
+        assert len(traced) == 3
+        assert set(traced).isdisjoint(result.corrupt_source_ids)
+        assert result.trace.distrust.shape[1] == 3
+        assert set(traced) == set(result.final_scales)
 
     def test_upsample_equalizes_step_counts(self):
         # batch size 1, so one step per item and unequal sources would step
@@ -233,7 +232,9 @@ class TestFlipAndFlags:
         assert prep.steps_per_epoch == len(prep.source_ids) * target
         assert total_steps(config) == prep.steps_per_epoch
         result = run_single(config, 0)
-        assert len(result.trace) == prep.steps_per_epoch * len(prep.source_ids)
+        assert result.trace.distrust.shape == (
+            prep.steps_per_epoch, len(prep.source_ids)
+        )
 
 
 class TestTrace:
@@ -263,6 +264,20 @@ class TestTrace:
         assert (off.distrust > 0.0).any()
         assert not off.depression_applied.any()
         assert (off.gradient_scales() == 1.0).all()
+
+    def test_gradient_scales_allocates_only_its_result(self):
+        trace = Trace(range(40), 20_000, 4.0, frozenset(), None)
+        rng = np.random.default_rng(0)
+        trace.distrust[:] = rng.integers(0, 200, size=trace.distrust.shape)
+        trace.depression_applied[1000:] = True
+        trace.gradient_scales()  # the first call's one-off imports and caches
+        tracemalloc.start()
+        try:
+            scales = trace.gradient_scales()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scales.nbytes + 2**20
 
 
 class TestPersistence:
@@ -321,7 +336,7 @@ class TestParity:
         config = small_config(lap={"enabled": False, "history_length": 5})
         result = run_single(config, 0)
         assert all(v == 1.0 for v in result.final_scales.values())
-        assert all(r.gradient_scale == 1.0 for r in result.trace)
+        assert (result.trace.gradient_scales() == 1.0).all()
 
 
 class TestSweep:
@@ -329,10 +344,8 @@ class TestSweep:
         config = small_config(training={"epochs": 1, "batch_size": 4})
         rows = sweep(config, {"leniency": [0.8]})
         assert len(rows) == 1
-        direct = run_experiment(config)
-        assert rows[0].mean_accuracy == pytest.approx(
-            direct.runs[0].final_accuracy("test")
-        )
+        (direct,) = run_experiment(config)
+        assert rows[0].mean_accuracy == pytest.approx(direct.final_accuracy("test"))
         assert rows[0].n_seeds == 1
         assert rows[0].std_accuracy == 0.0
 
@@ -455,6 +468,26 @@ def test_outputs_match_golden_hashes(variant, tmp_path):
     assert hashes == GOLDEN_HASHES[variant]
 
 
+# SHA-256 of metrics.csv and trace_seed0.csv of the full identification run
+# (acceptance criterion 4, benchmark workload W1) at seed 0, with numpy 2.4.6
+# on x86-64
+IDENTIFICATION_HASHES = (
+    "678eb9fcb27ca187796bef6b5e03435e419c8df42bc2fb35d53192e9ee4043da",
+    "8c4e848cd0e15b1b22bb30c7d6558d1486f50ac70e28ddc9c7ffe90aaf418119",
+)
+
+
+def test_identification_outputs_match_golden_hashes(tmp_path):
+    config = _identification_config().replace(seeds=(0,))
+    (run,) = run_experiment(config, out_dir=tmp_path)
+    assert run.trace.distrust.shape == (4500, 10)
+    hashes = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("metrics.csv", "trace_seed0.csv")
+    )
+    assert hashes == IDENTIFICATION_HASHES
+
+
 # SHA-256 of the config.json that run_experiment writes beside those files
 GOLDEN_CONFIG_HASHES = {
     "default": "5712d0e0d20e93a06f3c2e8de6f8fbe416b63e397f0006b2e0a51df07a471a85",
@@ -479,34 +512,30 @@ def test_config_sidecar_matches_golden_hashes(variant, tmp_path):
 def test_trace_csv_matches_csv_writer_rendering(variant, tmp_path):
     trace = run_single(golden_config(variant), 0).trace
     write_trace_csv(trace, tmp_path / "trace.csv")
-    with open(tmp_path / "reference.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for row in trace:
-            writer.writerow([
-                row.step,
-                row.source_id,
-                f"{row.distrust:g}",
-                f"{row.gradient_scale:.10g}",
-                int(row.is_corrupt),
-            ])
-    reference = (tmp_path / "reference.csv").read_bytes()
-    assert (tmp_path / "trace.csv").read_bytes() == reference
+    assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
 
 
 def csv_writer_rendering(trace):
-    """The trace file as ``csv.writer`` renders ``iter(trace)``."""
+    """The trace file as ``csv.writer`` renders the arrays cell by cell, each
+    scale computed from its own distrust, without the trace's level lookup."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(TRACE_CSV_COLUMNS)
-    for row in trace:
-        writer.writerow([
-            row.step,
-            row.source_id,
-            f"{row.distrust:g}",
-            f"{row.gradient_scale:.10g}",
-            int(row.is_corrupt),
-        ])
+    rows = zip(
+        trace.distrust.tolist(),
+        trace.depression_applied.tolist(),
+        trace.is_corrupt.tolist(),
+    )
+    for step, (distrust, applied, corrupt) in enumerate(rows):
+        for source, d, c in zip(trace.source_ids, distrust, corrupt):
+            scale = 1.0 - depression_value(d, trace.depression_strength)
+            writer.writerow([
+                step,
+                source,
+                f"{d:g}",
+                f"{scale if applied else 1.0:.10g}",
+                int(c),
+            ])
     return buf.getvalue().encode()
 
 
@@ -538,6 +567,18 @@ class TestTraceWriter:
         write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
 
+    @pytest.mark.parametrize("steps", [0, 1, 2 * TRACE_BLOCK + 7])
+    def test_gradient_scales_match_each_cell(self, steps):
+        trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
+        strength = trace.depression_strength
+        expected = [
+            [1.0 - depression_value(d, strength) if applied else 1.0 for d in row]
+            for row, applied in zip(
+                trace.distrust.tolist(), trace.depression_applied.tolist()
+            )
+        ]
+        assert trace.gradient_scales().tolist() == expected
+
     @pytest.mark.parametrize("seed", range(6))
     def test_levels_match_unique_with_inverse(self, seed):
         rng = np.random.default_rng(seed)
@@ -547,7 +588,8 @@ class TestTraceWriter:
                       frozenset({0}), None)
         pool = np.concatenate([rng.integers(0, 60, 40), rng.normal(5, 20, 40)])
         trace.distrust[:] = rng.choice(pool, size=trace.distrust.shape)
-        values, scales, index = trace.levels()
+        values, scales, index_of = trace.levels()
+        index = index_of(trace.distrust)
 
         expected, inverse = np.unique(trace.distrust.ravel(), return_inverse=True)
         assert values == expected.tolist()
