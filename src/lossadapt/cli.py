@@ -20,6 +20,7 @@ from .errors import LossAdaptError
 from .experiment import SWEEP_AXES, TRACE_CSV_COLUMNS, run_experiment, sweep
 from .experiment import write_sweep_csv
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
+from .walkers import expected_increment_probability
 
 
 def _add_run_parser(sub):
@@ -158,9 +159,10 @@ def _cmd_walkers(args) -> int:
         )
         rows.extend(simulate_walkers(config))
     for row in rows:
+        p_up = expected_increment_probability(row.leniency, row.mean_shift)
         print(
             f"shift={row.mean_shift:g} leniency={row.leniency:g} "
-            f"mean_distrust={row.mean_distrust:.2f} "
+            f"p_up={p_up:.4f} mean_distrust={row.mean_distrust:.2f} "
             f"mean_depression={row.mean_depression:.4f}"
         )
     if args.out:
@@ -176,28 +178,34 @@ def _cmd_inspect_trace(args) -> int:
     if not path.exists():
         print(f"error: no such trace file: {path}", file=sys.stderr)
         return 2
+    # two streamed passes: the first finds the last step, the second sums
+    # each source's rows from the cutoff on, in file order
+    last_step = None
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows or set(reader.fieldnames or ()) != set(TRACE_CSV_COLUMNS):
+        if set(reader.fieldnames or ()) == set(TRACE_CSV_COLUMNS):
+            last_step = max((int(r["step"]) for r in reader), default=None)
+    if last_step is None:
         print(f"error: {path} is not a trace CSV", file=sys.stderr)
         return 2
-    last_step = max(int(r["step"]) for r in rows)
     cutoff = last_step - max(args.last, 1) + 1
-    per_source: dict[int, list[dict]] = {}
-    for r in rows:
-        if int(r["step"]) >= cutoff:
-            per_source.setdefault(int(r["source_id"]), []).append(r)
+    # source -> [rows, distrust sum, scale sum, last is_corrupt]
+    per_source: dict[int, list] = {}
+    with open(path, newline="") as fh:
+        for r in csv.DictReader(fh):
+            if int(r["step"]) >= cutoff:
+                sums = per_source.setdefault(int(r["source_id"]), [0, 0, 0, ""])
+                sums[0] += 1
+                sums[1] += float(r["distrust"])
+                sums[2] += float(r["gradient_scale"])
+                sums[3] = r["is_corrupt"]
     print(f"steps 0..{last_step}, {len(per_source)} sources, "
           f"averaging last {last_step - cutoff + 1} step(s)")
     for source in sorted(per_source):
-        entries = per_source[source]
-        distrust = sum(float(r["distrust"]) for r in entries) / len(entries)
-        scale = sum(float(r["gradient_scale"]) for r in entries) / len(entries)
-        corrupt = entries[-1]["is_corrupt"] == "1"
-        tag = " corrupt" if corrupt else ""
-        print(f"source {source}: distrust {distrust:.1f} "
-              f"scale {scale:.4f}{tag}")
+        n, distrust, scale, corrupt = per_source[source]
+        tag = " corrupt" if corrupt == "1" else ""
+        print(f"source {source}: distrust {distrust / n:.1f} "
+              f"scale {scale / n:.4f}{tag}")
     return 0
 
 

@@ -6,6 +6,10 @@ The file is one object with sections ``dataset``, ``model``, ``optimizer``,
 defaults fill in the standard hyperparameters. Unknown keys are rejected by
 name so typos fail loudly instead of silently running defaults.
 
+A config loads by one walk over the dataclasses' fields, each value checked
+against its field's declared type: a bool is never a number, an int passes as
+a float, and ``null`` fills an optional key or a whole section.
+
 A section is the spec it configures where there is one: ``model`` is a
 ``ModelSpec``, and ``lap``, ``sources`` and ``dataset`` subclass
 ``LapParams``, ``CorruptionSpec`` and ``BlobSpec``, adding only their own
@@ -18,7 +22,9 @@ config loads.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .corruption import CorruptionSpec
 from .datasets import BlobSpec
@@ -29,41 +35,6 @@ from .trust import LapParams
 
 DATASET_KINDS = ("blobs", "idx_files", "csv")
 OPTIMIZER_KINDS = ("sgd", "adam")
-
-
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if value is None:
-        value = {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
-    return dict(value)
-
-
-# the JSON values each declared field type accepts; other types are left to
-# the specs' own checks, so float fields still accept integers
-_ACCEPTED = {
-    "bool": (bool,),
-    "int": (int,),
-    "int | None": (int, type(None)),
-    "str | None": (str, type(None)),
-}
-
-
-def _check_type(key: str, value, declared: str) -> None:
-    accepted = _ACCEPTED.get(declared)
-    # a bool is an int to isinstance, but never an int here
-    if accepted and (
-        not isinstance(value, accepted)
-        or isinstance(value, bool) and bool not in accepted
-    ):
-        raise ConfigError(f"{key}: expected {declared}, got {value!r}")
-
-
-def _no_leftovers(section: dict, name: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        raise ConfigError(f"{name}.{key}: unknown key")
 
 
 @dataclass(frozen=True)
@@ -236,49 +207,58 @@ class ExperimentConfig:
         return dc_replace(self, **kwargs)
 
 
-def _build(cls, section: dict, name: str):
-    kwargs = {f: section.pop(f) for f in cls.__dataclass_fields__ if f in section}
-    _no_leftovers(section, name)
-    for key, value in kwargs.items():
-        _check_type(f"{name}.{key}", value, cls.__dataclass_fields__[key].type)
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+# stands for a value that does not fit its declared type
+_MISFIT = object()
+
+
+def _fit(declared, value):
+    """``value`` as a ``declared`` (a JSON list becomes a tuple), or
+    ``_MISFIT``. A bool is never a number, and an int is a float."""
+    if isinstance(declared, type):
+        if isinstance(value, bool) and declared is not bool:
+            return _MISFIT
+        accepted = (int, float) if declared is float else declared
+        return value if isinstance(value, accepted) else _MISFIT
+    options = get_args(declared)
+    if get_origin(declared) is UnionType:
+        fits = (_fit(option, value) for option in options)
+        return next((v for v in fits if v is not _MISFIT), _MISFIT)
+    # the one other generic a field declares: tuple[X, ...] or tuple[X, Y]
+    if not isinstance(value, (list, tuple)):
+        return _MISFIT
+    if options[-1] is Ellipsis:
+        options = options[:1] * len(value)
+    if len(options) != len(value):
+        return _MISFIT
+    items = tuple(map(_fit, options, value))
+    return _MISFIT if any(v is _MISFIT for v in items) else items
+
+
+def _load(cls, raw, name: str):
+    """The dataclass ``cls`` built from the JSON object ``raw``, each value
+    checked against its field's declared type. A field whose type is a
+    dataclass is a section, loaded the same way; ``null`` is all defaults."""
+    where = name or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    declared = get_type_hints(cls)
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in declared:
+            raise ConfigError(f"{where}.{key}: unknown key")
+        kind, path = declared[key], f"{name}.{key}" if name else key
+        if is_dataclass(kind):
+            kwargs[key] = _load(kind, {} if value is None else value, path)
+            continue
+        kwargs[key] = _fit(kind, value)
+        if kwargs[key] is _MISFIT:
+            kind = kind.__name__ if isinstance(kind, type) else kind
+            raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    raw = dict(raw)
-    dataset = _build(DatasetConfig, _section(raw, "dataset"), "dataset")
-    model = _build(ModelSpec, _section(raw, "model"), "model")
-    optimizer = _build(OptimizerConfig, _section(raw, "optimizer"), "optimizer")
-    lap = _build(LapConfig, _section(raw, "lap"), "lap")
-    sources = _build(SourceConfig, _section(raw, "sources"), "sources")
-    training = _build(TrainingConfig, _section(raw, "training"), "training")
-    seeds = raw.pop("seeds", (0,))
-    output_dir = raw.pop("output_dir", None)
-    for name in ("dataset", "model", "optimizer", "lap", "sources", "training"):
-        raw.pop(name, None)
-    _no_leftovers(raw, "config")
-    if not isinstance(seeds, (list, tuple)):
-        raise ConfigError(f"seeds: expected a list, got {type(seeds).__name__}")
-    for seed in seeds:
-        _check_type("seeds", seed, "int")
-    _check_type("output_dir", output_dir, "str | None")
-    return ExperimentConfig(
-        dataset=dataset,
-        model=model,
-        optimizer=optimizer,
-        lap=lap,
-        sources=sources,
-        training=training,
-        seeds=tuple(seeds),
-        output_dir=output_dir,
-    )
+    return _load(ExperimentConfig, raw, "")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -128,10 +128,8 @@ def make_blobs(spec: BlobSpec, rng: np.random.Generator) -> Dataset:
 
 def _read_binary(path) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
+        raw = fh.read()
+    if raw[:2] == b"\x1f\x8b":
         try:
             return gzip.decompress(raw)
         except OSError as exc:

@@ -312,10 +312,6 @@ class SourceRegistry:
             float(self._distrust[row]), self.params.depression_strength
         )
 
-    def gradient_scale(self, source: int) -> float:
-        """1 - depression: the factor this source's gradients are scaled by."""
-        return 1.0 - self.depression(source)
-
     def snapshot(self) -> list[tuple[int, float, float]]:
         """(source_id, distrust, gradient_scale) for every source, in
         registration order."""

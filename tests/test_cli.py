@@ -12,6 +12,7 @@ import lossadapt
 from lossadapt.cli import build_parser, main
 from lossadapt.config import load_config
 from lossadapt.experiment import run_experiment
+from lossadapt.walkers import expected_increment_probability
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,6 +149,10 @@ class TestWalkersCommand:
         assert rows[0] == ["leniency", "mean_shift", "mean_distrust",
                            "mean_depression"]
         assert len(rows) == 3
+        lines = capsys.readouterr().out.splitlines()
+        for shift, line in zip((0.0, 3.0), lines):
+            p_up = expected_increment_probability(1.0, shift)
+            assert f"shift={shift:g} leniency=1 p_up={p_up:.4f} " in line
 
 
 class TestInspectCommand:
@@ -182,6 +187,24 @@ class TestInspectCommand:
             f"source {s}: distrust {d:.1f} scale {g:.4f}" + (" corrupt" if c else "")
             for s, d, g, c in means
         ]
+
+    def test_last_beyond_the_run_averages_the_whole_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (run,) = run_experiment(load_config(write_config(tmp_path)), out_dir=out)
+        steps = len(run.trace.distrust)
+        sources = []
+        for last in (steps, steps + 1, 10**6):
+            code = main(["inspect-trace", str(out / "trace_seed0.csv"),
+                         "--last", str(last)])
+            assert code == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            # the header reports the window asked for, even past the run
+            assert header == (
+                f"steps 0..{steps - 1}, 4 sources, averaging last {last} step(s)"
+            )
+            sources.append(lines)
+        assert len(sources[0]) == 4
+        assert sources[1:] == sources[:1] * 2
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["inspect-trace", str(tmp_path / "none.csv")])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,9 +92,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            ({"model": {"layer_widths": 5}}, "model: 'int' object is not iterable"),
+            ({"model": {"layer_widths": 5}},
+             re.escape("model.layer_widths: expected tuple[int, ...], got 5")),
             ({"training": {"train_val_ratio": 3}},
-             "training: 'int' object is not iterable"),
+             re.escape("training.train_val_ratio: expected tuple[int, int], got 3")),
         ],
         ids=["layer_widths", "train_val_ratio"],
     )
@@ -118,8 +120,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            ({"seeds": ["a"]}, "seeds: expected int"),
-            ({"seeds": [None]}, "seeds: expected int"),
+            ({"seeds": ["a"]},
+             re.escape("seeds: expected tuple[int, ...], got ['a']")),
+            ({"seeds": [None]},
+             re.escape("seeds: expected tuple[int, ...], got [None]")),
             ({"lap": {"enabled": "no"}}, "lap.enabled: expected bool"),
             ({"sources": {"upsample": "no"}}, "sources.upsample: expected bool"),
             ({"sources": {"exclude_corrupt_from_training": "yes"}},
@@ -128,11 +132,38 @@ class TestValidation:
             ({"training": {"epochs": 2.5}}, "training.epochs: expected int"),
             ({"lap": {"history_length": 2.5}}, "lap.history_length: expected int"),
             ({"training": {"epochs": True}}, "training.epochs: expected int"),
+        ] + [
+            (raw, re.escape(message)) for raw, message in [
+                ({"lap": {"leniency": True}},
+                 "lap.leniency: expected float, got True"),
+                ({"optimizer": {"learning_rate": True}},
+                 "optimizer.learning_rate: expected float, got True"),
+                ({"sources": {"corruption_rate": True}},
+                 "sources.corruption_rate: expected float, got True"),
+                ({"lap": {"leniency": "0.8"}},
+                 "lap.leniency: expected float, got '0.8'"),
+                ({"training": {"train_val_ratio": [3.7, 1]}},
+                 "training.train_val_ratio: expected tuple[int, int], got [3.7, 1]"),
+                ({"training": {"train_val_ratio": [True, 1]}},
+                 "training.train_val_ratio: expected tuple[int, int], got [True, 1]"),
+                ({"model": {"layer_widths": [2, 32.7, 3]}},
+                 "model.layer_widths: expected tuple[int, ...], got [2, 32.7, 3]"),
+                ({"model": {"layer_widths": [2, True, 3]}},
+                 "model.layer_widths: expected tuple[int, ...], got [2, True, 3]"),
+                ({"model": {"layer_widths": ["2", "3"]}},
+                 "model.layer_widths: expected tuple[int, ...], got ['2', '3']"),
+                ({"dataset": {"centers": [["1", 0], [0, 1], [1, 1]]}},
+                 "dataset.centers: expected tuple[tuple[float, ...], ...] | None, "
+                 "got [['1', 0], [0, 1], [1, 1]]"),
+            ]
         ],
         ids=[
             "seed_str", "seed_null", "lap_enabled_str", "upsample_str",
             "exclude_corrupt_str", "output_dir_int", "epochs_float",
-            "history_length_float", "epochs_bool",
+            "history_length_float", "epochs_bool", "leniency_bool",
+            "learning_rate_bool", "corruption_rate_bool", "leniency_str",
+            "ratio_float", "ratio_bool", "widths_float", "widths_bool",
+            "widths_str", "centers_str",
         ],
     )
     def test_value_types_checked_at_load(self, raw, message):
@@ -142,12 +173,15 @@ class TestValidation:
     def test_int_for_float_and_null_for_optional_load(self):
         config = config_from_dict({
             "lap": {"leniency": 1},
-            "dataset": {"n_test_per_class": None},
+            "dataset": {"n_test_per_class": None,
+                        "centers": [[1, 0], [0, 1], [1, 1]]},
             "sources": {"reliability_flip_step": None},
         })
         assert config.lap.leniency == 1
         assert config.dataset.n_test_per_class is None
+        assert config.dataset.centers == ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         assert config.sources.reliability_flip_step is None
+        assert config_from_dict({"lap": None}).lap == config_from_dict({}).lap
 
     def test_csv_needs_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):

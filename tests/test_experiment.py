@@ -468,6 +468,16 @@ def test_outputs_match_golden_hashes(variant, tmp_path):
     assert hashes == GOLDEN_HASHES[variant]
 
 
+@pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS))
+def test_final_trust_state_is_the_trace_last_row(variant):
+    for run in run_experiment(golden_config(variant)):
+        trace = run.trace
+        last_scales = trace.gradient_scales()[-1].tolist()
+        last_distrust = trace.distrust[-1].tolist()
+        assert run.final_scales == dict(zip(trace.source_ids, last_scales))
+        assert run.final_distrust == dict(zip(trace.source_ids, last_distrust))
+
+
 # SHA-256 of metrics.csv and trace_seed0.csv of the full identification run
 # (acceptance criterion 4, benchmark workload W1) at seed 0, with numpy 2.4.6
 # on x86-64

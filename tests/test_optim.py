@@ -201,7 +201,7 @@ class TestLapOptimizer:
         p = params_of([1.0])
         # record_loss moves distrust by one step before depression is read
         scale = opt.step(p, grads_like(p, 1.0), 9.0, 0)
-        assert scale == pytest.approx(reg.gradient_scale(0))
+        assert scale == pytest.approx(1.0 - reg.depression(0))
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_snapshot_reports_applied_scales(self, enabled):

@@ -315,7 +315,7 @@ class TestDepression:
         reg = SourceRegistry([0, 1], params=LapParams(history_length=2))
         reg.set_distrust(0, 300.0)
         assert reg.depression(0) == 0.0
-        assert reg.gradient_scale(0) == 1.0
+        assert 1.0 - reg.depression(0) == 1.0
 
     def test_hold_off_delays_activation(self):
         params = LapParams(history_length=2, hold_off=3)
@@ -336,7 +336,7 @@ class TestDepression:
             distrust={0: 200.0},
         )
         assert reg.depression(0) == pytest.approx(0.5800256583859739)
-        assert reg.gradient_scale(0) == pytest.approx(1.0 - 0.5800256583859739)
+        assert 1.0 - reg.depression(0) == pytest.approx(1.0 - 0.5800256583859739)
 
     def test_snapshot_rows(self):
         reg = full_registry(
@@ -479,7 +479,7 @@ class TestNaiveOracle:
             reg.record_loss(s, loss)
             naive.record(s, loss)
             assert tuple(reg.distrust(j) for j in range(n)) == tuple(naive.distrust)
-            assert reg.gradient_scale(s) == naive.scale(s)
+            assert 1.0 - reg.depression(s) == naive.scale(s)
 
 
 def assert_stats_match_levels(reg):
