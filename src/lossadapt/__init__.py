@@ -47,7 +47,6 @@ from .experiment import (
     sweep,
 )
 from .models import (
-    Batch,
     GradientSet,
     ModelSpec,
     ParameterSet,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "Batch",
     "BlobSpec",
     "ConfigError",
     "CorruptionSpec",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import CONFIG_KEY_DOC, load_config
@@ -65,12 +66,14 @@ def _add_walkers_parser(sub):
     )
     p.add_argument("--shift", type=float, nargs="+", default=[0.0, 1.0, 2.0, 3.0],
                    metavar="V", help="loss-mean shifts (one ensemble each)")
+    ensemble = WalkerConfig  # owns every default below
     p.add_argument("--leniency", type=float, nargs="+",
-                   default=[0.5, 1.0, 1.5, 2.0, 3.0], metavar="V")
-    p.add_argument("--walkers", type=int, default=100, metavar="N")
-    p.add_argument("--steps", type=int, default=10_000, metavar="N")
-    p.add_argument("--depression-strength", type=float, default=1.0, metavar="V")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+                   default=ensemble.leniencies, metavar="V")
+    p.add_argument("--walkers", type=int, default=ensemble.n_walkers, metavar="N")
+    p.add_argument("--steps", type=int, default=ensemble.n_steps, metavar="N")
+    p.add_argument("--depression-strength", type=float,
+                   default=ensemble.depression_strength, metavar="V")
+    p.add_argument("--seed", type=int, default=ensemble.seed, metavar="N")
     p.add_argument("--out", metavar="DIR", help="where walkers.csv lands")
     return p
 
@@ -105,9 +108,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = config.replace(seeds=(args.seed,))
     if args.lap is not None:
-        from dataclasses import replace as dc_replace
-
-        config = config.replace(lap=dc_replace(config.lap, enabled=args.lap == "on"))
+        config = config.replace(lap=replace(config.lap, enabled=args.lap == "on"))
     for run in run_experiment(config, out_dir=args.out):
         parts = [f"seed {run.seed}:"]
         for split in ("train", "val", "test"):

@@ -22,7 +22,7 @@ config loads.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -202,36 +202,47 @@ class ExperimentConfig:
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **kwargs)
+        return replace(self, **kwargs)
 
 
-# stands for a value that does not fit its declared type
-_MISFIT = object()
+class _Misfit:
+    """The part of a value that does not fit its declared type: its index
+    path inside the value (empty for the whole value), the type and itself."""
+
+    def __init__(self, declared, value):
+        self.at, self.declared, self.value = "", declared, value
 
 
 def _fit(declared, value):
-    """``value`` as a ``declared`` (a JSON list becomes a tuple), or
-    ``_MISFIT``. A bool is never a number, and an int is a float."""
+    """``value`` as a ``declared`` (a JSON list becomes a tuple), or the
+    ``_Misfit`` that says which part of it does not fit. A bool is never a
+    number, and an int is a float."""
     if isinstance(declared, type):
         if isinstance(value, bool) and declared is not bool:
-            return _MISFIT
+            return _Misfit(declared, value)
         accepted = (int, float) if declared is float else declared
-        return value if isinstance(value, accepted) else _MISFIT
+        return value if isinstance(value, accepted) else _Misfit(declared, value)
     options = get_args(declared)
     if get_origin(declared) is UnionType:
-        fits = (_fit(option, value) for option in options)
-        return next((v for v in fits if v is not _MISFIT), _MISFIT)
+        fits = [_fit(option, value) for option in options]
+        for v in fits:
+            if not isinstance(v, _Misfit):
+                return v
+        # a list of the right shape names its element, not the whole union
+        return next((v for v in fits if v.at), _Misfit(declared, value))
     # the one other generic a field declares: tuple[X, ...] or tuple[X, Y]
     if not isinstance(value, (list, tuple)):
-        return _MISFIT
+        return _Misfit(declared, value)
     if options[-1] is Ellipsis:
         options = options[:1] * len(value)
     if len(options) != len(value):
-        return _MISFIT
+        return _Misfit(declared, value)
     items = tuple(map(_fit, options, value))
-    return _MISFIT if any(v is _MISFIT for v in items) else items
+    for i, item in enumerate(items):
+        if isinstance(item, _Misfit):
+            item.at = f"[{i}]{item.at}"
+            return item
+    return items
 
 
 def _load(cls, raw, name: str):
@@ -250,10 +261,11 @@ def _load(cls, raw, name: str):
         if is_dataclass(kind):
             kwargs[key] = _load(kind, {} if value is None else value, path)
             continue
-        kwargs[key] = _fit(kind, value)
-        if kwargs[key] is _MISFIT:
+        kwargs[key] = fit = _fit(kind, value)
+        if isinstance(fit, _Misfit):
+            kind = fit.declared
             kind = kind.__name__ if isinstance(kind, type) else kind
-            raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+            raise ConfigError(f"{path}{fit.at}: expected {kind}, got {fit.value!r}")
     return cls(**kwargs)
 
 

@@ -16,7 +16,7 @@ Seven corruption modes cover the usual ways a data provider goes bad:
 ``corruption_rate`` is the probability a given batch is corrupted for the two
 batch_* modes, and the per-observation Bernoulli probability for the rest.
 Rate 0 always degenerates to identity. All functions are pure: they take an
-explicit rng and never mutate their input batch.
+explicit rng and never mutate their input arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .models import Batch, _check_labels
 
 ORIGINAL = "original"
 CHUNK_SHUFFLE = "chunk_shuffle"
@@ -159,27 +158,27 @@ def _shuffle_chunks(x_item: np.ndarray, spec: CorruptionSpec,
 
 
 def apply_corruption(
-    batch: Batch,
+    x: np.ndarray,
+    y: np.ndarray,
     spec: CorruptionSpec,
     label_domain: int,
     rng: np.random.Generator,
-) -> Batch:
-    """Return a copy of ``batch`` corrupted per ``spec.mode`` at
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return a copy of the batch ``(x, y)`` corrupted per ``spec.mode`` at
     ``spec.corruption_rate``.
 
     Label modes leave features untouched and feature modes leave labels
-    untouched. The input batch is never modified: the array a mode writes is
+    untouched. The input is never modified: the array a mode writes is
     always a new one, and the array it leaves alone is the input's own, not a
-    copy. Identity (``original``, or rate 0) returns copies of both.
+    copy. Identity (``original``, or rate 0) returns copies of both. The
+    loss that reads the labels checks their range, so this does not.
     """
-    n = len(batch.y)
+    n = len(y)
     if n == 0:
         raise DataError("cannot corrupt an empty batch")
-    _check_labels(batch.y, label_domain)
     mode, rate = spec.mode, spec.corruption_rate
     if mode == ORIGINAL or rate == 0.0:
-        return Batch(batch.x.copy(), batch.y.copy(), batch.source)
-    x, y = batch.x, batch.y
+        return x.copy(), y.copy()
     if mode in LABEL_MODES:
         y = y.copy()
     else:
@@ -187,15 +186,14 @@ def apply_corruption(
 
     if mode in BATCH_LEVEL_MODES:
         if rng.random() >= rate:
-            return Batch(x, y, batch.source)
+            return x, y
         if mode == BATCH_LABEL_SHUFFLE:
             y = y[rng.permutation(n)]
         else:  # one label from the batch's own labels, applied to all
             y[:] = y[rng.integers(n)]
-        return Batch(x, y, batch.source)
+        return x, y
 
-    mask = rng.random(n) < rate
-    hit = mask.nonzero()[0]
+    hit = (rng.random(n) < rate).nonzero()[0]
     if mode == RANDOM_LABEL:
         y[hit] = rng.integers(0, label_domain, size=len(hit))
     elif mode == CHUNK_SHUFFLE:
@@ -205,4 +203,4 @@ def apply_corruption(
         x[hit] += rng.normal(0.0, 1.0, size=x[hit].shape)
     elif mode == REPLACE_GAUSSIAN_NOISE:
         x[hit] = rng.normal(0.0, 1.0, size=x[hit].shape)
-    return Batch(x, y, batch.source)
+    return x, y

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
+from .models import _check_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -41,11 +42,7 @@ class Dataset:
             )
         if self.n_classes < 2:
             raise DataError(f"n_classes must be >= 2, got {self.n_classes}")
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise DataError(
-                f"labels outside [0, {self.n_classes}): "
-                f"range [{self.y.min()}, {self.y.max()}]"
-            )
+        _check_labels(self.y, self.n_classes)
 
     def __len__(self) -> int:
         return len(self.y)

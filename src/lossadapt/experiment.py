@@ -35,7 +35,7 @@ from .datasets import (
     split_train_val,
 )
 from .errors import ConfigError, NumericError
-from .models import Batch, evaluate, init_params, loss_and_backward
+from .models import evaluate, init_params, loss_and_backward
 from .optim import LapOptimizer
 from .rng import child_rng
 from .trust import SourceRegistry, depression_value
@@ -164,8 +164,8 @@ class PreparedRun:
     test: Dataset | None
     plan: SourcePlan
     source_ids: tuple[int, ...]
-    # each source's training items, after upsampling when it is on
-    items_by_source: dict[int, np.ndarray]
+    # each source's training items in source_ids order, upsampled when on
+    items: tuple[np.ndarray, ...]
     steps_per_epoch: int
 
 
@@ -201,22 +201,6 @@ def _check_model_fits(config: ExperimentConfig, dataset: Dataset) -> None:
         )
 
 
-def _source_batches(
-    items_by_source: dict[int, np.ndarray],
-    batch_size: int,
-    rng: np.random.Generator,
-) -> dict[int, list[np.ndarray]]:
-    """Shuffle each source's items and chop into batches (last may be short)."""
-    out = {}
-    for s in sorted(items_by_source):
-        items = items_by_source[s]
-        order = items[rng.permutation(len(items))]
-        out[s] = [
-            order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)
-        ]
-    return out
-
-
 def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
     full, test = _build_datasets(config, seed)
     _check_model_fits(config, full)
@@ -240,15 +224,14 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
     else:
         source_ids = tuple(range(plan.n_sources))
 
-    items_by_source = {s: plan.items_of(s) for s in source_ids}
+    items = [plan.items_of(s) for s in source_ids]
     if config.sources.upsample:
         upsample_rng = child_rng(seed, _STREAM_SOURCES, 1)
-        target = max(len(v) for v in items_by_source.values())
-        for s in source_ids:
-            items = items_by_source[s]
-            if len(items) < target:
-                extra = upsample_rng.choice(items, size=target - len(items))
-                items_by_source[s] = np.concatenate([items, extra])
+        target = max(map(len, items))
+        for i, own in enumerate(items):
+            if len(own) < target:
+                extra = upsample_rng.choice(own, size=target - len(own))
+                items[i] = np.concatenate([own, extra])
     return PreparedRun(
         seed=seed,
         train=train,
@@ -256,10 +239,9 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
         test=test,
         plan=plan,
         source_ids=source_ids,
-        items_by_source=items_by_source,
+        items=tuple(items),
         steps_per_epoch=sum(
-            math.ceil(len(v) / config.training.batch_size)
-            for v in items_by_source.values()
+            math.ceil(len(v) / config.training.batch_size) for v in items
         ),
     )
 
@@ -288,37 +270,33 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     )
     # the trace's flags are the corruption schedule the batches follow
     corrupt_at = trace.is_corrupt
-    column = {s: i for i, s in enumerate(prep.source_ids)}
+    batch_size = config.training.batch_size
 
     records: list[MetricsRecord] = []
     step = 0
     for epoch in range(config.training.epochs):
-        source_order = [
-            prep.source_ids[i]
-            for i in schedule_rng.permutation(len(prep.source_ids))
-        ]
-        batches = _source_batches(
-            prep.items_by_source, config.training.batch_size, schedule_rng
-        )
-        max_rounds = max(len(b) for b in batches.values())
-        for round_idx in range(max_rounds):
-            for source in source_order:
-                if round_idx >= len(batches[source]):
+        # a random source order, then each source's items shuffled; each
+        # round, every source in that order takes its next batch, if any
+        order = schedule_rng.permutation(len(prep.items)).tolist()
+        shuffled = [v[schedule_rng.permutation(len(v))] for v in prep.items]
+        for lo in range(0, max(map(len, shuffled)), batch_size):
+            for col in order:
+                idx = shuffled[col][lo:lo + batch_size]
+                if not len(idx):
                     continue
-                idx = batches[source][round_idx]
-                batch = Batch(train.x[idx], train.y[idx], source)
-                if corrupt_at[step, column[source]]:
-                    batch = apply_corruption(
-                        batch, config.sources, train.n_classes, corrupt_rng
+                x, y = train.x[idx], train.y[idx]
+                if corrupt_at[step, col]:
+                    x, y = apply_corruption(
+                        x, y, config.sources, train.n_classes, corrupt_rng
                     )
                 try:
-                    loss, grads = loss_and_backward(params, config.model, batch)
+                    loss, grads = loss_and_backward(params, config.model, x, y)
                 except NumericError as exc:
                     raise NumericError(
                         f"seed {seed}, epoch {epoch}, step {step}, "
-                        f"source {source}: {exc}"
+                        f"source {prep.source_ids[col]}: {exc}"
                     ) from exc
-                optimizer.step(params, grads, loss, source)
+                optimizer.step(params, grads, loss, prep.source_ids[col])
                 trace.distrust[step] = registry.distrust_levels
                 trace.depression_applied[step] = optimizer.depression_applied
                 step += 1

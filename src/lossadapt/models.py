@@ -160,19 +160,6 @@ class ParameterSet:
 GradientSet = ParameterSet
 
 
-@dataclass
-class Batch:
-    """One training step's worth of data: features, labels, and the id of the
-    source the rows came from (-1 for source-less evaluation data)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    source: int = -1
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-
 def check_congruent(params: ParameterSet, grads: GradientSet) -> None:
     """Raise ShapeError unless grads matches params entry for entry."""
     if grads._layout is params._layout:
@@ -312,15 +299,15 @@ def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def loss_and_backward(
-    params: ParameterSet, spec: ModelSpec, batch: Batch
+    params: ParameterSet, spec: ModelSpec, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, GradientSet]:
-    """Mean cross-entropy of the batch and its gradient w.r.t. every parameter.
+    """Mean cross-entropy of ``(x, y)`` and its gradient w.r.t. every parameter.
 
     The softmax is applied internally, so the model's forward output stays in
     logit space. Returned gradients are shape-congruent with ``params``.
     """
-    x = _check_input(spec, batch.x)
-    y = _check_labels(batch.y, spec.n_classes)
+    x = _check_input(spec, x)
+    y = _check_labels(y, spec.n_classes)
     n = x.shape[0]
     if n != y.shape[0]:
         raise ShapeError(f"batch has {n} rows but {y.shape[0]} labels")

@@ -36,7 +36,6 @@ from lossadapt.experiment import (
     total_steps,
 )
 from lossadapt.models import (
-    Batch,
     ModelSpec,
     init_params,
     loss_and_backward,
@@ -128,10 +127,8 @@ def test_criterion_01_gradient_finite_difference():
     spec = ModelSpec(layer_widths=(20, 16, 8, 4))
     rng = make_rng(11)
     params = init_params(spec, rng)
-    batch = Batch(
-        x=rng.normal(size=(8, 20)), y=rng.integers(0, 4, size=8), source=0
-    )
-    _, grads = loss_and_backward(params, spec, batch)
+    batch = rng.normal(size=(8, 20)), rng.integers(0, 4, size=8)
+    _, grads = loss_and_backward(params, spec, *batch)
 
     eps = 1e-6
     worst = 0.0
@@ -141,9 +138,9 @@ def test_criterion_01_gradient_finite_difference():
         for j in range(flat.size):
             keep = flat[j]
             flat[j] = keep + eps
-            up, _ = loss_and_backward(params, spec, batch)
+            up, _ = loss_and_backward(params, spec, *batch)
             flat[j] = keep - eps
-            down, _ = loss_and_backward(params, spec, batch)
+            down, _ = loss_and_backward(params, spec, *batch)
             flat[j] = keep
             fd = (up - down) / (2 * eps)
             rel = abs(analytic[j] - fd) / max(abs(analytic[j]), abs(fd), 1e-8)

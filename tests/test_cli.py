@@ -12,7 +12,7 @@ import lossadapt
 from lossadapt.cli import build_parser, main
 from lossadapt.config import load_config
 from lossadapt.experiment import run_experiment
-from lossadapt.walkers import expected_increment_probability
+from lossadapt.walkers import WalkerConfig, expected_increment_probability
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -153,6 +153,15 @@ class TestWalkersCommand:
         for shift, line in zip((0.0, 3.0), lines):
             p_up = expected_increment_probability(1.0, shift)
             assert f"shift={shift:g} leniency=1 p_up={p_up:.4f} " in line
+
+
+    def test_defaults_are_the_ensemble_defaults(self):
+        args = build_parser().parse_args(["walkers"])
+        default = WalkerConfig()
+        assert (args.walkers, args.steps, tuple(args.leniency),
+                args.depression_strength, args.seed) == (
+            default.n_walkers, default.n_steps, default.leniencies,
+            default.depression_strength, default.seed)
 
 
 class TestInspectCommand:

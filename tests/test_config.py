@@ -120,10 +120,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            ({"seeds": ["a"]},
-             re.escape("seeds: expected tuple[int, ...], got ['a']")),
-            ({"seeds": [None]},
-             re.escape("seeds: expected tuple[int, ...], got [None]")),
+            ({"seeds": ["a"]}, re.escape("seeds[0]: expected int, got 'a'")),
+            ({"seeds": [None]}, re.escape("seeds[0]: expected int, got None")),
             ({"lap": {"enabled": "no"}}, "lap.enabled: expected bool"),
             ({"sources": {"upsample": "no"}}, "sources.upsample: expected bool"),
             ({"sources": {"exclude_corrupt_from_training": "yes"}},
@@ -143,18 +141,17 @@ class TestValidation:
                 ({"lap": {"leniency": "0.8"}},
                  "lap.leniency: expected float, got '0.8'"),
                 ({"training": {"train_val_ratio": [3.7, 1]}},
-                 "training.train_val_ratio: expected tuple[int, int], got [3.7, 1]"),
+                 "training.train_val_ratio[0]: expected int, got 3.7"),
                 ({"training": {"train_val_ratio": [True, 1]}},
-                 "training.train_val_ratio: expected tuple[int, int], got [True, 1]"),
+                 "training.train_val_ratio[0]: expected int, got True"),
                 ({"model": {"layer_widths": [2, 32.7, 3]}},
-                 "model.layer_widths: expected tuple[int, ...], got [2, 32.7, 3]"),
+                 "model.layer_widths[1]: expected int, got 32.7"),
                 ({"model": {"layer_widths": [2, True, 3]}},
-                 "model.layer_widths: expected tuple[int, ...], got [2, True, 3]"),
+                 "model.layer_widths[1]: expected int, got True"),
                 ({"model": {"layer_widths": ["2", "3"]}},
-                 "model.layer_widths: expected tuple[int, ...], got ['2', '3']"),
+                 "model.layer_widths[0]: expected int, got '2'"),
                 ({"dataset": {"centers": [["1", 0], [0, 1], [1, 1]]}},
-                 "dataset.centers: expected tuple[tuple[float, ...], ...] | None, "
-                 "got [['1', 0], [0, 1], [1, 1]]"),
+                 "dataset.centers[0][0]: expected float, got '1'"),
             ]
         ],
         ids=[
@@ -169,6 +166,15 @@ class TestValidation:
     def test_value_types_checked_at_load(self, raw, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
+
+    def test_misfit_element_is_named_alone(self):
+        # one string among 10 x 784 centre coordinates: the error names its
+        # index path and shows that element, not all 7840 values
+        centers = [[0.01 * (c + 1)] * 784 for c in range(10)]
+        centers[9][783] = "0.1"
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"dataset": {"n_classes": 10, "centers": centers}})
+        assert str(info.value) == "dataset.centers[9][783]: expected float, got '0.1'"
 
     def test_int_for_float_and_null_for_optional_load(self):
         config = config_from_dict({

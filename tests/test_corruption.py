@@ -17,13 +17,13 @@ from lossadapt.corruption import (
     split_into_sources,
 )
 from lossadapt.errors import ConfigError, DataError
-from lossadapt.models import Batch
+from lossadapt.models import ModelSpec, init_params, loss_and_backward
 from lossadapt.rng import make_rng
 
 
 def demo_batch(n=12, d=8, n_classes=4, seed=0):
     rng = make_rng(seed)
-    return Batch(rng.normal(0, 1, (n, d)), rng.integers(0, n_classes, n))
+    return rng.normal(0, 1, (n, d)), rng.integers(0, n_classes, n)
 
 
 class TestSplitIntoSources:
@@ -93,92 +93,94 @@ class TestSpecValidation:
 
 class TestModeSemantics:
     def test_original_is_identity(self):
-        b = demo_batch()
-        out = apply_corruption(b, CorruptionSpec(mode="original"), 4, make_rng(1))
-        np.testing.assert_array_equal(out.x, b.x)
-        np.testing.assert_array_equal(out.y, b.y)
+        x, y = demo_batch()
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="original"), 4, make_rng(1)
+        )
+        np.testing.assert_array_equal(out_x, x)
+        np.testing.assert_array_equal(out_y, y)
 
     def test_batch_label_shuffle_permutes(self):
-        b = demo_batch(n=40)
-        out = apply_corruption(
-            b, CorruptionSpec(mode="batch_label_shuffle"), 4, make_rng(1)
+        x, y = demo_batch(n=40)
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="batch_label_shuffle"), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.x, b.x)
-        assert sorted(out.y) == sorted(b.y)
-        assert (out.y != b.y).any()
+        np.testing.assert_array_equal(out_x, x)
+        assert sorted(out_y) == sorted(y)
+        assert (out_y != y).any()
 
     def test_batch_label_flip_uses_batch_label(self):
-        b = demo_batch(n=30)
-        out = apply_corruption(
-            b, CorruptionSpec(mode="batch_label_flip"), 4, make_rng(1)
+        x, y = demo_batch(n=30)
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="batch_label_flip"), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.x, b.x)
-        assert len(set(out.y)) == 1
-        assert out.y[0] in set(b.y)
+        np.testing.assert_array_equal(out_x, x)
+        assert len(set(out_y)) == 1
+        assert out_y[0] in set(y)
 
     def test_random_label_draws_from_domain(self):
-        b = demo_batch(n=4000, n_classes=4)
-        out = apply_corruption(
-            b, CorruptionSpec(mode="random_label"), 4, make_rng(1)
+        x, y = demo_batch(n=4000, n_classes=4)
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="random_label"), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.x, b.x)
-        counts = np.bincount(out.y, minlength=4)
+        np.testing.assert_array_equal(out_x, x)
+        counts = np.bincount(out_y, minlength=4)
         # uniform over 4 labels at n=4000: each count within 5 sigma of 1000
         assert counts.min() > 1000 - 5 * np.sqrt(1000 * 0.75)
         assert counts.max() < 1000 + 5 * np.sqrt(1000 * 0.75)
 
     def test_add_noise_moments(self):
         # sample-moment oracle at 10,000 elements
-        b = demo_batch(n=100, d=100)
-        out = apply_corruption(
-            b, CorruptionSpec(mode="add_gaussian_noise"), 4, make_rng(1)
+        x, y = demo_batch(n=100, d=100)
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="add_gaussian_noise"), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.y, b.y)
-        diff = out.x - b.x
+        np.testing.assert_array_equal(out_y, y)
+        diff = out_x - x
         assert abs(diff.mean()) < 0.05
         assert abs(diff.std() - 1.0) < 0.05
 
     def test_replace_noise_forgets_input(self):
-        b = demo_batch(n=100, d=100)
-        b.x += 50.0
-        out = apply_corruption(
-            b, CorruptionSpec(mode="replace_gaussian_noise"), 4, make_rng(1)
+        x, y = demo_batch(n=100, d=100)
+        x += 50.0
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="replace_gaussian_noise"), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.y, b.y)
-        assert abs(out.x.mean()) < 0.05
-        assert abs(out.x.std() - 1.0) < 0.05
+        np.testing.assert_array_equal(out_y, y)
+        assert abs(out_x.mean()) < 0.05
+        assert abs(out_x.std() - 1.0) < 0.05
 
     def test_chunk_shuffle_preserves_multiset_per_input(self):
-        b = demo_batch(n=20, d=8)
-        out = apply_corruption(
-            b, CorruptionSpec(mode="chunk_shuffle", n_chunks=4), 4, make_rng(1)
+        x, y = demo_batch(n=20, d=8)
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="chunk_shuffle", n_chunks=4), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.y, b.y)
-        np.testing.assert_array_equal(np.sort(out.x, 1), np.sort(b.x, 1))
-        assert (out.x != b.x).any()
+        np.testing.assert_array_equal(out_y, y)
+        np.testing.assert_array_equal(np.sort(out_x, 1), np.sort(x, 1))
+        assert (out_x != x).any()
 
     def test_chunk_shuffle_moves_whole_chunks(self):
         x = np.arange(8.0)[None, :]
-        b = Batch(x, np.array([0]))
-        out = apply_corruption(
-            b, CorruptionSpec(mode="chunk_shuffle", n_chunks=4), 1, make_rng(0)
+        y = np.array([0])
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode="chunk_shuffle", n_chunks=4), 1, make_rng(0)
         )
-        got = out.x[0].reshape(4, 2)
+        got = out_x[0].reshape(4, 2)
         expect_chunks = {(0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0)}
         assert {tuple(c) for c in got} == expect_chunks
 
     def test_chunk_count_exceeding_axis_rejected(self):
-        b = Batch(np.ones((2, 3)), np.zeros(2, dtype=int))
+        x, y = np.ones((2, 3)), np.zeros(2, dtype=int)
         with pytest.raises(ConfigError):
             apply_corruption(
-                b, CorruptionSpec(mode="chunk_shuffle", n_chunks=5), 1, make_rng(0)
+                x, y, CorruptionSpec(mode="chunk_shuffle", n_chunks=5), 1, make_rng(0)
             )
 
     def test_chunk_axis_out_of_range_rejected(self):
-        b = Batch(np.ones((2, 8)), np.zeros(2, dtype=int))
+        x, y = np.ones((2, 8)), np.zeros(2, dtype=int)
         with pytest.raises(ConfigError):
             apply_corruption(
-                b,
+                x, y,
                 CorruptionSpec(mode="chunk_shuffle", chunk_axis=1),
                 1,
                 make_rng(0),
@@ -192,70 +194,70 @@ class TestRateSemantics:
         hits = 0
         trials = 2000
         for _ in range(trials):
-            b = demo_batch(n=20, seed=1)
-            out = apply_corruption(b, spec, 4, rng)
-            hits += int((out.y != b.y).any())
+            x, y = demo_batch(n=20, seed=1)
+            out_x, out_y = apply_corruption(x, y, spec, 4, rng)
+            hits += int((out_y != y).any())
         assert hits / trials == pytest.approx(0.3, abs=0.04)
 
     def test_per_observation_rate_is_fraction_of_items(self):
         spec = CorruptionSpec(mode="replace_gaussian_noise", corruption_rate=0.5)
-        b = demo_batch(n=10000, d=3)
-        out = apply_corruption(b, spec, 4, make_rng(0))
-        changed = (out.x != b.x).any(axis=1).mean()
+        x, y = demo_batch(n=10000, d=3)
+        out_x, out_y = apply_corruption(x, y, spec, 4, make_rng(0))
+        changed = (out_x != x).any(axis=1).mean()
         assert changed == pytest.approx(0.5, abs=0.03)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rate_zero_is_identity(self, mode):
-        b = demo_batch()
-        out = apply_corruption(
-            b, CorruptionSpec(mode=mode, corruption_rate=0.0), 4, make_rng(1)
+        x, y = demo_batch()
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode=mode, corruption_rate=0.0), 4, make_rng(1)
         )
-        np.testing.assert_array_equal(out.x, b.x)
-        np.testing.assert_array_equal(out.y, b.y)
+        np.testing.assert_array_equal(out_x, x)
+        np.testing.assert_array_equal(out_y, y)
 
 
 class TestInvariants:
     @pytest.mark.parametrize("mode", MODES)
     def test_input_batch_never_mutated(self, mode):
-        b = demo_batch()
-        x0, y0 = b.x.copy(), b.y.copy()
-        apply_corruption(b, CorruptionSpec(mode=mode), 4, make_rng(1))
-        np.testing.assert_array_equal(b.x, x0)
-        np.testing.assert_array_equal(b.y, y0)
+        x, y = demo_batch()
+        x0, y0 = x.copy(), y.copy()
+        apply_corruption(x, y, CorruptionSpec(mode=mode), 4, make_rng(1))
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(y, y0)
 
     @pytest.mark.parametrize("rate", [0.5, 1.0])
     @pytest.mark.parametrize("mode", [m for m in MODES if m != ORIGINAL])
     def test_copies_only_the_array_it_writes(self, mode, rate):
-        b = demo_batch()
+        x, y = demo_batch()
         for seed in range(6):
             spec = CorruptionSpec(mode=mode, corruption_rate=rate)
-            out = apply_corruption(b, spec, 4, make_rng(seed))
+            out_x, out_y = apply_corruption(x, y, spec, 4, make_rng(seed))
             if mode in LABEL_MODES:
-                assert not np.shares_memory(out.y, b.y)
-                assert out.x is b.x
+                assert not np.shares_memory(out_y, y)
+                assert out_x is x
             else:
-                assert not np.shares_memory(out.x, b.x)
-                assert out.y is b.y
+                assert not np.shares_memory(out_x, x)
+                assert out_y is y
 
     @pytest.mark.parametrize(
         "mode, rate", [(ORIGINAL, 1.0)] + [(m, 0.0) for m in MODES]
     )
     def test_identity_copies_both_arrays(self, mode, rate):
-        b = demo_batch()
-        out = apply_corruption(
-            b, CorruptionSpec(mode=mode, corruption_rate=rate), 4, make_rng(1)
+        x, y = demo_batch()
+        out_x, out_y = apply_corruption(
+            x, y, CorruptionSpec(mode=mode, corruption_rate=rate), 4, make_rng(1)
         )
-        assert not np.shares_memory(out.x, b.x)
-        assert not np.shares_memory(out.y, b.y)
+        assert not np.shares_memory(out_x, x)
+        assert not np.shares_memory(out_y, y)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fixed_seed_reproducible(self, mode):
-        b = demo_batch()
+        x, y = demo_batch()
         spec = CorruptionSpec(mode=mode, corruption_rate=0.7)
-        a = apply_corruption(b, spec, 4, make_rng(9))
-        c = apply_corruption(b, spec, 4, make_rng(9))
-        np.testing.assert_array_equal(a.x, c.x)
-        np.testing.assert_array_equal(a.y, c.y)
+        a_x, a_y = apply_corruption(x, y, spec, 4, make_rng(9))
+        c_x, c_y = apply_corruption(x, y, spec, 4, make_rng(9))
+        np.testing.assert_array_equal(a_x, c_x)
+        np.testing.assert_array_equal(a_y, c_y)
 
     @given(
         mode=st.sampled_from(MODES),
@@ -264,18 +266,18 @@ class TestInvariants:
     )
     @settings(max_examples=100, deadline=None)
     def test_label_and_feature_exclusivity(self, mode, rate, seed):
-        b = demo_batch(n=8, d=6)
+        x, y = demo_batch(n=8, d=6)
         spec = CorruptionSpec(mode=mode, corruption_rate=rate)
-        out = apply_corruption(b, spec, 4, make_rng(seed))
+        out_x, out_y = apply_corruption(x, y, spec, 4, make_rng(seed))
         if mode in LABEL_MODES:
-            np.testing.assert_array_equal(out.x, b.x)
+            np.testing.assert_array_equal(out_x, x)
         if mode in FEATURE_MODES:
-            np.testing.assert_array_equal(out.y, b.y)
+            np.testing.assert_array_equal(out_y, y)
         if mode in BATCH_LEVEL_MODES:
             # whole batch or nothing: labels changed rows are 0 or a batch event
-            assert sorted(out.y) == sorted(b.y) or len(set(out.y)) == 1
-        assert out.x.shape == b.x.shape
-        assert out.y.shape == b.y.shape
+            assert sorted(out_y) == sorted(y) or len(set(out_y)) == 1
+        assert out_x.shape == x.shape
+        assert out_y.shape == y.shape
 
 
 # First 16 hex digits of the SHA-256 of each corrupted batch's x bytes, its y
@@ -306,9 +308,9 @@ def test_corrupted_batches_match_pinned_hashes(mode, rate):
     hashes = []
     for seed in range(3):
         rng = make_rng(seed)
-        out = apply_corruption(demo_batch(), spec, 4, rng)
+        out_x, out_y = apply_corruption(*demo_batch(), spec, 4, rng)
         digest = hashlib.sha256(
-            out.x.tobytes() + out.y.tobytes() + np.float64(rng.random()).tobytes()
+            out_x.tobytes() + out_y.tobytes() + np.float64(rng.random()).tobytes()
         )
         hashes.append(digest.hexdigest()[:16])
     assert tuple(hashes) == CORRUPTED_BATCH_HASHES[mode, rate]
@@ -316,16 +318,21 @@ def test_corrupted_batches_match_pinned_hashes(mode, rate):
 
 class TestErrors:
     def test_empty_batch_rejected(self):
-        b = Batch(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        x, y = np.zeros((0, 3)), np.zeros(0, dtype=int)
         with pytest.raises(DataError):
-            apply_corruption(b, CorruptionSpec(), 4, make_rng(0))
+            apply_corruption(x, y, CorruptionSpec(), 4, make_rng(0))
 
     def test_labels_out_of_domain_rejected(self):
+        # apply_corruption leaves the range check to the loss that reads them
+        spec = ModelSpec(layer_widths=(3, 4))
+        params = init_params(spec, make_rng(0))
         for y in (
             np.array([0, 4]),
             np.array([-1, 2], dtype=np.int8),
             np.array([3, 4], dtype=np.int8),
         ):
-            b = Batch(np.ones((2, 3)), y)
+            x, rng = np.ones((2, 3)), make_rng(0)
             with pytest.raises(DataError):
-                apply_corruption(b, CorruptionSpec(), 4, make_rng(0))
+                loss_and_backward(
+                    params, spec, *apply_corruption(x, y, CorruptionSpec(), 4, rng)
+                )

@@ -13,7 +13,7 @@ from lossadapt.datasets import (
     split_train_val,
 )
 from lossadapt.errors import ConfigError, DataError, FormatError
-from lossadapt.models import Batch, ModelSpec, evaluate, init_params, loss_and_backward
+from lossadapt.models import ModelSpec, evaluate, init_params, loss_and_backward
 from lossadapt.optim import SGD
 from lossadapt.rng import make_rng
 
@@ -124,8 +124,8 @@ class TestBlobs:
         opt = SGD(learning_rate=0.5)
         for _ in range(40):
             for lo in range(0, len(train), 30):
-                batch = Batch(train.x[lo:lo + 30], train.y[lo:lo + 30])
-                _, grads = loss_and_backward(params, spec, batch)
+                x, y = train.x[lo:lo + 30], train.y[lo:lo + 30]
+                _, grads = loss_and_backward(params, spec, x, y)
                 opt.step(params, grads)
         _, acc = evaluate(params, spec, test.x, test.y)
         assert acc > 0.95

@@ -88,12 +88,10 @@ class TestRunSingle:
             sources={"n_sources": 5, "n_corrupt": 0, "mode": "original"},
         )
         prep = prepare_run(config, 3)
-        for s in prep.source_ids:
-            np.testing.assert_array_equal(
-                prep.items_by_source[s], prep.plan.items_of(s)
-            )
+        for s, items in zip(prep.source_ids, prep.items):
+            np.testing.assert_array_equal(items, prep.plan.items_of(s))
         batch = config.training.batch_size
-        per_epoch = [-(-len(v) // batch) for v in prep.items_by_source.values()]
+        per_epoch = [-(-len(v) // batch) for v in prep.items]
         assert max(per_epoch) - min(per_epoch) <= 1
         assert prep.steps_per_epoch == sum(per_epoch)
         result = run_single(config, 3)
@@ -223,8 +221,7 @@ class TestFlipAndFlags:
         sizes = {s: len(prep.plan.items_of(s)) for s in prep.source_ids}
         assert len(set(sizes.values())) > 1
         target = max(sizes.values())
-        for s in prep.source_ids:
-            items = prep.items_by_source[s]
+        for s, items in zip(prep.source_ids, prep.items):
             # the source's own items first, then draws from them
             assert len(items) == target
             np.testing.assert_array_equal(items[: sizes[s]], prep.plan.items_of(s))

@@ -5,7 +5,6 @@ import pytest
 
 from lossadapt.errors import ConfigError, DataError, NumericError, ShapeError
 from lossadapt.models import (
-    Batch,
     GradientSet,
     ModelSpec,
     ParameterSet,
@@ -55,10 +54,9 @@ def reference_forward_cached(params, spec, x):
     return pre, act
 
 
-def reference_loss_and_backward(params, spec, batch):
+def reference_loss_and_backward(params, spec, x, y):
     """Loss and gradients as first written, without the input checks: the
     reference the lean kernel must match bit for bit."""
-    x, y = batch.x, batch.y
     pre, act = reference_forward_cached(params, spec, x)
     logp = reference_log_softmax(act[-1])
     n = x.shape[0]
@@ -77,7 +75,7 @@ def reference_loss_and_backward(params, spec, batch):
     return loss, grads
 
 
-def finite_difference_grads(params, spec, batch, eps=1e-6):
+def finite_difference_grads(params, spec, x, y, eps=1e-6):
     """Central differences on every parameter entry."""
     out = []
     for arr in params.arrays:
@@ -87,9 +85,9 @@ def finite_difference_grads(params, spec, batch, eps=1e-6):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp = cross_entropy(forward(params, spec, batch.x), batch.y)
+            lp = cross_entropy(forward(params, spec, x), y)
             arr[idx] = orig - eps
-            lm = cross_entropy(forward(params, spec, batch.x), batch.y)
+            lm = cross_entropy(forward(params, spec, x), y)
             arr[idx] = orig
             g[idx] = (lp - lm) / (2 * eps)
         out.append(g)
@@ -214,11 +212,11 @@ class TestLayout:
         spec = ModelSpec(layer_widths=(4, 3, 2))
         rng = make_rng(3)
         params = init_params(spec, rng)
-        first_batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 2, 5))
-        second_batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 2, 5))
-        _, first = loss_and_backward(params, spec, first_batch)
+        first_batch = rng.normal(size=(5, 4)), rng.integers(0, 2, 5)
+        second_batch = rng.normal(size=(5, 4)), rng.integers(0, 2, 5)
+        _, first = loss_and_backward(params, spec, *first_batch)
         kept = first.flat.copy()
-        _, second = loss_and_backward(params, spec, second_batch)
+        _, second = loss_and_backward(params, spec, *second_batch)
         np.testing.assert_array_equal(first.flat, kept)
         assert not np.shares_memory(first.flat, second.flat)
         assert not np.array_equal(first.flat, second.flat)
@@ -314,9 +312,8 @@ class TestBackward:
         params = init_params(spec, rng)
         x = rng.normal(0, 1, (7, widths[0]))
         y = rng.integers(0, widths[-1], 7)
-        batch = Batch(x, y)
-        loss, grads = loss_and_backward(params, spec, batch)
-        ref = finite_difference_grads(params, spec, batch)
+        loss, grads = loss_and_backward(params, spec, x, y)
+        ref = finite_difference_grads(params, spec, x, y)
         for g, r in zip(grads.arrays, ref.arrays):
             np.testing.assert_allclose(g, r, atol=1e-7)
 
@@ -326,7 +323,7 @@ class TestBackward:
         params = init_params(spec, rng)
         x = rng.normal(0, 1, (5, 4))
         y = rng.integers(0, 2, 5)
-        loss, _ = loss_and_backward(params, spec, Batch(x, y))
+        loss, _ = loss_and_backward(params, spec, x, y)
         direct = cross_entropy(forward(params, spec, x), y)
         assert loss == pytest.approx(direct, rel=1e-12)
 
@@ -334,14 +331,14 @@ class TestBackward:
         spec = ModelSpec(layer_widths=(4, 2))
         params = init_params(spec, make_rng(0))
         with pytest.raises(DataError):
-            loss_and_backward(params, spec, Batch(np.ones((2, 4)), np.array([0, 2])))
+            loss_and_backward(params, spec, np.ones((2, 4)), np.array([0, 2]))
 
     def test_empty_batch(self):
         spec = ModelSpec(layer_widths=(4, 2))
         params = init_params(spec, make_rng(0))
         with pytest.raises(DataError):
             loss_and_backward(
-                params, spec, Batch(np.ones((0, 4)), np.zeros(0, dtype=int))
+                params, spec, np.ones((0, 4)), np.zeros(0, dtype=int)
             )
 
     def test_row_count_mismatch(self):
@@ -349,7 +346,7 @@ class TestBackward:
         params = init_params(spec, make_rng(0))
         with pytest.raises(ShapeError):
             loss_and_backward(
-                params, spec, Batch(np.ones((3, 4)), np.zeros(2, dtype=int))
+                params, spec, np.ones((3, 4)), np.zeros(2, dtype=int)
             )
 
     @pytest.mark.parametrize(
@@ -372,16 +369,16 @@ class TestBackward:
         x = change.get("x", np.ones((2, 4)))
         y = change.get("y", np.array([0, 1]))
         with pytest.raises(error):
-            loss_and_backward(params, change.get("spec", spec), Batch(x, y))
+            loss_and_backward(params, change.get("spec", spec), x, y)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
     def test_rejects_negative_labels_of_any_width(self, dtype):
         spec = ModelSpec(layer_widths=(4, 6, 2))
         params = init_params(spec, make_rng(0))
         for y in ([0, -1], [-128, 1], [1, 0, -1]):
-            batch = Batch(np.ones((len(y), 4)), np.array(y, dtype=dtype))
+            x = np.ones((len(y), 4))
             with pytest.raises(DataError, match="range"):
-                loss_and_backward(params, spec, batch)
+                loss_and_backward(params, spec, x, np.array(y, dtype=dtype))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
     def test_label_range_past_the_signed_range(self, dtype):
@@ -404,8 +401,8 @@ class TestBackward:
         params = init_params(spec, make_rng(0))
         x = make_rng(1).normal(size=(3, 4))
         y = np.array([1, 0, 1])
-        loss, grads = loss_and_backward(params, spec, Batch(x, y))
-        loss_t, grads_t = loss_and_backward(params, spec, Batch(x, y.astype(dtype)))
+        loss, grads = loss_and_backward(params, spec, x, y)
+        loss_t, grads_t = loss_and_backward(params, spec, x, y.astype(dtype))
         assert loss_t == loss
         np.testing.assert_array_equal(grads_t.flat, grads.flat)
 
@@ -414,7 +411,7 @@ class TestBackward:
         params = init_params(spec, make_rng(0))
         x = np.array([[np.nan, 1.0]])
         with pytest.raises(NumericError):
-            loss_and_backward(params, spec, Batch(x, np.array([0])))
+            loss_and_backward(params, spec, x, np.array([0]))
 
 
 class TestEvaluate:
@@ -494,9 +491,8 @@ class TestReferenceKernel:
                 x[0] = 0.0
                 params.arrays[1][0, ::2] = 0.0
             y = rng.integers(0, widths[-1], batch_size)
-            batch = Batch(x, y)
-            loss, grads = loss_and_backward(params, spec, batch)
-            ref_loss, ref_grads = reference_loss_and_backward(params, spec, batch)
+            loss, grads = loss_and_backward(params, spec, x, y)
+            ref_loss, ref_grads = reference_loss_and_backward(params, spec, x, y)
             assert loss == ref_loss
             np.testing.assert_array_equal(grads.flat, ref_grads.flat)
             _, act = reference_forward_cached(params, spec, x)
