@@ -15,11 +15,12 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .config import CONFIG_KEY_DOC, load_config
 from .errors import LossAdaptError
-from .experiment import SWEEP_AXES, TRACE_CSV_COLUMNS, run_experiment, sweep
-from .experiment import write_sweep_csv
+from .experiment import SWEEP_AXES, TRACE_CSV_COLUMNS, SweepRow, run_experiment
+from .experiment import sweep, write_sweep_csv
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
 from .walkers import expected_increment_probability
 
@@ -51,10 +52,10 @@ def _add_sweep_parser(sub):
     )
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--out", metavar="DIR", help="where sweep.csv lands")
-    p.add_argument("--leniency", type=float, nargs="+", metavar="V")
-    p.add_argument("--depression-strength", type=float, nargs="+", metavar="V")
-    p.add_argument("--history-length", type=int, nargs="+", metavar="V")
-    p.add_argument("--corruption-rate", type=float, nargs="+", metavar="V")
+    row_types = get_type_hints(SweepRow)
+    for axis in SWEEP_AXES:
+        p.add_argument("--" + axis.replace("_", "-"), type=row_types[axis],
+                       nargs="+", metavar="V")
     return p
 
 

@@ -310,8 +310,8 @@ dataset.test_images             idx_files: path to test image file (optional)
 dataset.test_labels             idx_files: path to test label file (optional)
 dataset.path                    csv: path to training csv (label = last column)
 dataset.test_path               csv: path to test csv (optional)
-model.kind                      logistic_regression | mlp (mlp)
-model.layer_widths              layer sizes, features first, classes last
+model.layer_widths              layer sizes, features first, classes last;
+                                two widths is logistic regression
 model.activation                relu | tanh (relu)
 optimizer.kind                  sgd | adam (adam)
 optimizer.learning_rate         step size (0.001)
@@ -330,7 +330,6 @@ sources.n_corrupt               how many sources are corrupted (0)
 sources.mode                    corruption mode, one of the seven (original)
 sources.corruption_rate         batch/observation corruption probability (1.0)
 sources.n_chunks                chunk_shuffle: chunks per input (4)
-sources.chunk_axis              chunk_shuffle: per-input axis (0)
 sources.reliability_flip_step   global step when corrupt sources turn clean (null)
 sources.upsample                resample smaller sources to equal size (false)
 sources.exclude_corrupt_from_training

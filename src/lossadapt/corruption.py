@@ -55,15 +55,13 @@ FEATURE_MODES = (CHUNK_SHUFFLE, ADD_GAUSSIAN_NOISE, REPLACE_GAUSSIAN_NOISE)
 class CorruptionSpec:
     """What an unreliable source does to its data.
 
-    ``n_chunks``/``chunk_axis`` only matter for chunk_shuffle; the axis is a
-    per-input axis index (0 = the feature axis of flat inputs). Noise modes
-    use mean 0 and std 1, fixed.
+    ``n_chunks`` only matters for chunk_shuffle, which cuts each input along
+    its feature axis. Noise modes use mean 0 and std 1, fixed.
     """
 
     mode: str = ORIGINAL
     corruption_rate: float = 1.0
     n_chunks: int = 4
-    chunk_axis: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -78,10 +76,6 @@ class CorruptionSpec:
         if self.n_chunks < 1:
             raise ConfigError(
                 f"sources.n_chunks must be >= 1, got {self.n_chunks}"
-            )
-        if self.chunk_axis < 0:
-            raise ConfigError(
-                f"sources.chunk_axis must be >= 0, got {self.chunk_axis}"
             )
 
 
@@ -141,20 +135,15 @@ def split_into_sources(
 
 def _shuffle_chunks(x_item: np.ndarray, spec: CorruptionSpec,
                     rng: np.random.Generator) -> np.ndarray:
-    axis = spec.chunk_axis
-    if axis >= x_item.ndim:
-        raise ConfigError(
-            f"sources.chunk_axis {axis} out of range for input with "
-            f"{x_item.ndim} per-item axes"
-        )
-    length = x_item.shape[axis]
+    length = len(x_item)
     if spec.n_chunks > length:
         raise ConfigError(
-            f"sources.n_chunks {spec.n_chunks} exceeds axis length {length}"
+            f"sources.n_chunks {spec.n_chunks} exceeds the {length} "
+            "features of an input"
         )
-    chunks = np.array_split(x_item, spec.n_chunks, axis=axis)
+    chunks = np.array_split(x_item, spec.n_chunks)
     order = rng.permutation(spec.n_chunks)
-    return np.concatenate([chunks[i] for i in order], axis=axis)
+    return np.concatenate([chunks[i] for i in order])
 
 
 def apply_corruption(

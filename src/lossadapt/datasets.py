@@ -33,16 +33,17 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if self.x.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {self.x.shape}")
-        if self.y.shape != (len(self.x),):
+        if y.shape != (len(self.x),):
             raise DataError(
-                f"{len(self.x)} feature rows but {self.y.shape} labels"
+                f"{len(self.x)} feature rows but {y.shape} labels"
             )
         if self.n_classes < 2:
             raise DataError(f"n_classes must be >= 2, got {self.n_classes}")
-        _check_labels(self.y, self.n_classes)
+        # checked before the int64 cast, so float labels fail, not truncate
+        self.y = _check_labels(y, self.n_classes)
 
     def __len__(self) -> int:
         return len(self.y)

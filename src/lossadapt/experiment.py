@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from dataclasses import replace as dc_replace
 from functools import partial
 from pathlib import Path
@@ -46,15 +46,6 @@ TRACE_CSV_COLUMNS = ("step", "source_id", "distrust", "gradient_scale", "is_corr
 # their memory depends on this, the number of sources and the number of
 # distinct distrust levels, not on the number of steps
 TRACE_BLOCK = 512
-SWEEP_CSV_COLUMNS = (
-    "leniency",
-    "depression_strength",
-    "history_length",
-    "corruption_rate",
-    "n_seeds",
-    "mean_accuracy",
-    "std_accuracy",
-)
 
 # substream keys under the run seed
 _STREAM_DATA = 0
@@ -392,12 +383,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunResult]:
 
 # -- parameter sweeps -----------------------------------------------------
 
-SWEEP_AXES = (
-    "leniency",
-    "depression_strength",
-    "history_length",
-    "corruption_rate",
-)
+# each axis and the config section that owns it
+SWEEP_AXES = {
+    "leniency": "lap",
+    "depression_strength": "lap",
+    "history_length": "lap",
+    "corruption_rate": "sources",
+}
 
 
 @dataclass(frozen=True)
@@ -411,39 +403,30 @@ class SweepRow:
     std_accuracy: float
 
 
-def _apply_point(config: ExperimentConfig, point: dict) -> ExperimentConfig:
-    lap = config.lap
-    lap_kwargs = {
-        k: point[k]
-        for k in ("leniency", "depression_strength", "history_length")
-        if k in point
-    }
-    if lap_kwargs:
-        lap = dc_replace(lap, **lap_kwargs)
-    sources = config.sources
-    if "corruption_rate" in point:
-        sources = dc_replace(sources, corruption_rate=point["corruption_rate"])
-    return config.replace(lap=lap, sources=sources)
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sweep(config: ExperimentConfig, grid: dict) -> list[SweepRow]:
-    """Cartesian product over any of leniency / depression_strength /
-    history_length / corruption_rate; each point aggregates final clean-split
-    accuracy (test when present, else val) over all config seeds."""
+    """Cartesian product over any of the :data:`SWEEP_AXES`; each point
+    aggregates final clean-split accuracy (test when present, else val) over
+    all config seeds."""
     if not grid:
         raise ConfigError("sweep grid must be nonempty")
     for key in grid:
         if key not in SWEEP_AXES:
             raise ConfigError(
-                f"sweep.{key}: unknown axis (choose from {SWEEP_AXES})"
+                f"sweep.{key}: unknown axis (choose from {tuple(SWEEP_AXES)})"
             )
         if not grid[key]:
             raise ConfigError(f"sweep.{key}: empty value list")
     axes = [k for k in SWEEP_AXES if k in grid]
     rows = []
     for combo in itertools.product(*(grid[k] for k in axes)):
-        point = dict(zip(axes, combo))
-        point_config = _apply_point(config, point).replace(output_dir=None)
+        point_config = config.replace(output_dir=None)
+        for axis, value in zip(axes, combo):
+            section = SWEEP_AXES[axis]
+            owner = dc_replace(getattr(point_config, section), **{axis: value})
+            point_config = point_config.replace(**{section: owner})
         accs = []
         for run in run_experiment(point_config):
             try:
@@ -452,10 +435,10 @@ def sweep(config: ExperimentConfig, grid: dict) -> list[SweepRow]:
                 accs.append(run.final_accuracy("val"))
         rows.append(
             SweepRow(
-                leniency=point_config.lap.leniency,
-                depression_strength=point_config.lap.depression_strength,
-                history_length=point_config.lap.history_length,
-                corruption_rate=point_config.sources.corruption_rate,
+                **{
+                    axis: getattr(getattr(point_config, section), axis)
+                    for axis, section in SWEEP_AXES.items()
+                },
                 n_seeds=len(accs),
                 mean_accuracy=float(np.mean(accs)),
                 std_accuracy=float(np.std(accs)),

@@ -1,4 +1,5 @@
-"""Dense differentiable models: multinomial logistic regression and MLPs.
+"""Dense differentiable models: MLPs, with multinomial logistic regression as
+the one-layer case.
 
 Everything is float64 and built on 2-D row-major numpy arrays. Parameters and
 gradients live in :class:`ParameterSet`: one contiguous vector ``flat`` with
@@ -20,14 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
-
-LOGISTIC_REGRESSION = "logistic_regression"
-MLP = "mlp"
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -38,11 +35,9 @@ class ModelSpec:
 
     ``layer_widths`` runs from the feature dimension to the class count, so a
     3-layer MLP on 784 features with 10 classes is ``[784, 256, 128, 10]``.
-    Logistic regression is the single-layer case and must have exactly two
-    widths.
+    Two widths, ``[features, classes]``, is multinomial logistic regression.
     """
 
-    kind: str = MLP
     layer_widths: tuple[int, ...] = (784, 256, 128, 10)
     activation: str = "relu"
 
@@ -50,15 +45,8 @@ class ModelSpec:
         object.__setattr__(
             self, "layer_widths", tuple(int(w) for w in self.layer_widths)
         )
-        if self.kind not in (LOGISTIC_REGRESSION, MLP):
-            raise ConfigError(f"model.kind: unknown kind {self.kind!r}")
         if len(self.layer_widths) < 2:
             raise ConfigError("model.layer_widths: need at least [features, classes]")
-        if self.kind == LOGISTIC_REGRESSION and len(self.layer_widths) != 2:
-            raise ConfigError(
-                "model.layer_widths: logistic_regression takes exactly "
-                f"[features, classes], got {self.layer_widths}"
-            )
         if any(int(w) <= 0 for w in self.layer_widths):
             raise ConfigError(f"model.layer_widths: zero-width layer in {self.layer_widths}")
         if self.activation not in _ACTIVATIONS:
@@ -138,9 +126,6 @@ class ParameterSet:
         out = object.__new__(ParameterSet)
         out._bind(self.names, self._layout, flat)
         return out
-
-    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self.names, self.arrays))
 
     def __len__(self) -> int:
         return len(self.names)

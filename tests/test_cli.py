@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 import lossadapt
 from lossadapt.cli import build_parser, main
 from lossadapt.config import load_config
@@ -105,6 +107,20 @@ class TestRunCommand:
         with open(out / "trace_seed0.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["gradient_scale"] == "1" for r in rows)
+
+    @pytest.mark.parametrize(
+        "kind, splits",
+        [("idx_files", "train val test"), ("csv", "train val")],
+    )
+    def test_line_names_the_splits_the_files_give(self, kind, splits,
+                                                  tmp_path, capsys):
+        dataset = conftest.file_dataset_sections(tmp_path)[kind]
+        config = write_config(tmp_path, dataset=dataset,
+                              model={"layer_widths": [4, 8, 3]})
+        assert main(["run", "--config", str(config)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        shown = re.findall(r"(train|val|test) \d\.\d{4}", line)
+        assert shown == splits.split()
 
     def test_config_error_is_reported_not_raised(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

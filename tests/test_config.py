@@ -44,7 +44,6 @@ class TestDefaults:
     def test_empty_object_is_all_defaults(self):
         config = config_from_dict({})
         assert config.dataset.kind == "blobs"
-        assert config.model.kind == "mlp"
         assert config.sources.n_corrupt == 0
 
 
@@ -188,6 +187,34 @@ class TestValidation:
         assert config.dataset.centers == ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         assert config.sources.reliability_flip_step is None
         assert config_from_dict({"lap": None}).lap == config_from_dict({}).lap
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"dataset": {"kind": "mnist"}}, "dataset.kind"),
+            ({"optimizer": {"kind": "rmsprop"}}, "optimizer.kind"),
+            ({"dataset": {"kind": "idx_files", "train_images": "a",
+                          "train_labels": "b", "test_images": "c"}},
+             "dataset.test_images"),
+            ({"dataset": {"n_test_per_class": 0}}, "dataset.n_test_per_class"),
+            ({"sources": {"n_sources": 1}}, "sources.n_sources"),
+            ({"sources": {"reliability_flip_step": -1}},
+             "sources.reliability_flip_step"),
+            ({"training": {"epochs": 0}}, "training.epochs"),
+            ({"training": {"train_val_ratio": [0, 1]}},
+             "training.train_val_ratio"),
+            ({"model": {"kind": "mlp"}}, "model.kind"),
+            ({"sources": {"chunk_axis": 0}}, "sources.chunk_axis"),
+        ],
+        ids=[
+            "dataset_kind", "optimizer_kind", "test_images_alone",
+            "n_test_per_class", "n_sources", "flip_step", "epochs",
+            "train_val_ratio", "model_kind_removed", "chunk_axis_removed",
+        ],
+    )
+    def test_rule_names_its_key(self, raw, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict(raw)
 
     def test_csv_needs_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):

@@ -83,7 +83,6 @@ class TestSpecValidation:
             {"corruption_rate": -0.1},
             {"corruption_rate": 1.1},
             {"n_chunks": 0},
-            {"chunk_axis": -1},
         ],
     )
     def test_rejects_bad_spec(self, kwargs):
@@ -174,16 +173,6 @@ class TestModeSemantics:
         with pytest.raises(ConfigError):
             apply_corruption(
                 x, y, CorruptionSpec(mode="chunk_shuffle", n_chunks=5), 1, make_rng(0)
-            )
-
-    def test_chunk_axis_out_of_range_rejected(self):
-        x, y = np.ones((2, 8)), np.zeros(2, dtype=int)
-        with pytest.raises(ConfigError):
-            apply_corruption(
-                x, y,
-                CorruptionSpec(mode="chunk_shuffle", chunk_axis=1),
-                1,
-                make_rng(0),
             )
 
 

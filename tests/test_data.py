@@ -57,6 +57,11 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.ones((3, 2)), np.array([0, -1, 1]), 2)
 
+    def test_rejects_float_labels(self):
+        # float labels are refused, not truncated to integers
+        with pytest.raises(DataError, match="labels must be integers"):
+            Dataset(np.ones((2, 2)), np.array([0.5, 1.7]), 3)
+
     def test_subset(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
         sub = ds.subset(np.array([2, 0]))
@@ -119,7 +124,7 @@ class TestBlobs:
         rng = make_rng(1)
         train = make_blobs(BlobSpec(n_classes=3, n_per_class=100), rng)
         test = make_blobs(BlobSpec(n_classes=3, n_per_class=50), rng)
-        spec = ModelSpec(kind="logistic_regression", layer_widths=(2, 3))
+        spec = ModelSpec(layer_widths=(2, 3))
         params = init_params(spec, rng)
         opt = SGD(learning_rate=0.5)
         for _ in range(40):

@@ -32,7 +32,7 @@ from lossadapt.experiment import (
     write_trace_csv,
 )
 from lossadapt.models import evaluate
-from lossadapt.trust import depression_value
+from lossadapt.trust import SourceRegistry, depression_value
 from test_acceptance import _identification_config
 
 overhead = conftest.load_script("run_overhead_scaling")
@@ -97,6 +97,27 @@ class TestRunSingle:
         result = run_single(config, 3)
         steps = len(result.trace.distrust)
         assert steps == config.training.epochs * prep.steps_per_epoch
+
+    def test_exhausted_sources_are_skipped(self, monkeypatch):
+        # 93 training items in 5 sources hold 19, 19, 19, 18 and 18, so at
+        # batch 3 each epoch's last round steps only the three larger ones
+        config = small_config(
+            dataset={"n_per_class": 41}, training={"batch_size": 3}
+        )
+        prep = prepare_run(config, 0)
+        assert [len(v) for v in prep.items] == [19, 19, 19, 18, 18]
+        assert prep.steps_per_epoch == 33
+        steps = Counter()
+        record_loss = SourceRegistry.record_loss
+
+        def counting(registry, source, loss):
+            steps[source] += 1
+            record_loss(registry, source, loss)
+
+        monkeypatch.setattr(SourceRegistry, "record_loss", counting)
+        result = run_single(config, 0)
+        assert len(result.trace.distrust) == config.training.epochs * 33
+        assert [steps[s] for s in prep.source_ids] == [14, 14, 14, 12, 12]
 
     def test_total_steps_builds_no_model_or_optimizer(self, monkeypatch):
         config = small_config()
@@ -275,6 +296,38 @@ class TestTrace:
         finally:
             tracemalloc.stop()
         assert peak < scales.nbytes + 2**20
+
+
+class TestFileDatasets:
+    """The ``idx_files`` and ``csv`` dataset kinds, on files written under
+    the test's own directory."""
+
+    @staticmethod
+    def config(tmp_path, kind):
+        dataset = conftest.file_dataset_sections(tmp_path)[kind]
+        return small_config(dataset=dataset, model={"layer_widths": [4, 8, 3]})
+
+    @pytest.mark.parametrize(
+        "kind, splits",
+        [("idx_files", ["train", "val", "test"]), ("csv", ["train", "val"])],
+    )
+    def test_metrics_cover_the_splits_the_files_give(self, kind, splits,
+                                                      tmp_path):
+        config = self.config(tmp_path, kind)
+        run_experiment(config, out_dir=tmp_path / "out")
+        with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["epoch"]), r["split"]) for r in rows] == [
+            (epoch, split)
+            for epoch in range(config.training.epochs)
+            for split in splits
+        ]
+
+    def test_sweep_without_test_split_reads_val_accuracy(self, tmp_path):
+        config = self.config(tmp_path, "csv")
+        (row,) = sweep(config, {"leniency": [config.lap.leniency]})
+        (run,) = run_experiment(config)
+        assert row.mean_accuracy == run.final_accuracy("val")
 
 
 class TestPersistence:
@@ -497,13 +550,13 @@ def test_identification_outputs_match_golden_hashes(tmp_path):
 
 # SHA-256 of the config.json that run_experiment writes beside those files
 GOLDEN_CONFIG_HASHES = {
-    "default": "5712d0e0d20e93a06f3c2e8de6f8fbe416b63e397f0006b2e0a51df07a471a85",
-    "exclude_corrupt": "f1962983a13f880c6237c39e8947673b70e7425cf40165a5084fe893981d2eb2",
-    "flip": "8379c181c6213acf48d4272c80da84377e9fef38a5bf9fefe3c17a58eae7812f",
-    "hold_off": "fa1a2aa355fe45ddb8400c49a52cd3025c097335c7330044f53e06fee970ca29",
-    "lap_off": "4125fffa664cf564b0eb5ef796440b629bd08593add974fd54a4847b09882cf4",
-    "sgd_momentum": "f58756e1ee1f8cd449208dfb5cd96b98cdbde9dfdd574b35da6ecf1ac8dcc9c8",
-    "upsample": "be1c408c70148ce943125e20e04bfab8ca9f1fa6c5de013e9a8ba5081aa57a13",
+    "default": "d68fbd8e610d54312df913678b217ef96d2a26a755b5177da08e4fd8ee470c40",
+    "exclude_corrupt": "420e10c74e26d98b19b64de938aa1d3b6165740539d86166cf08565f6a21ac77",
+    "flip": "6567afd8c9347534cdcf2e61c15a789fabb09fd380bcf318fc560def6784eba7",
+    "hold_off": "ddc6b5faab3cc38d4d3b2e9706936c19fb9ffcd35c53c0d16924e7aeba58512c",
+    "lap_off": "bd32d79c210a291f3c838f299b5ba185ab87517fbb1279edf107a85e666875d4",
+    "sgd_momentum": "12b6ae8849baf7193160134a5f5fa56ba248ecb6d344460394ce19ce67c54062",
+    "upsample": "589291060413a38766f0a29e387ea6a404473dae7d0dda8cd81c25c1b8eec504",
 }
 
 

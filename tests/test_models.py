@@ -97,7 +97,6 @@ def finite_difference_grads(params, spec, x, y, eps=1e-6):
 class TestModelSpec:
     def test_defaults(self):
         spec = ModelSpec()
-        assert spec.kind == "mlp"
         assert spec.layer_widths == (784, 256, 128, 10)
         assert spec.activation == "relu"
         assert spec.n_features == 784
@@ -106,9 +105,7 @@ class TestModelSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"kind": "transformer"},
             {"layer_widths": (4,)},
-            {"kind": "logistic_regression", "layer_widths": (4, 8, 2)},
             {"layer_widths": (4, 0, 2)},
             {"activation": "gelu"},
         ],
@@ -150,18 +147,18 @@ class TestInit:
         assert params.arrays[0][0, 0] != 99.0
 
     @pytest.mark.parametrize(
-        "kind, widths",
+        "widths",
         [
-            ("mlp", (2, 32, 32, 3)),
-            ("mlp", (784, 256, 128, 10)),
-            ("logistic_regression", (5, 3)),
+            (2, 32, 32, 3),
+            (784, 256, 128, 10),
+            (5, 3),
         ],
         ids=["w1", "mnist_shaped", "logistic"],
     )
-    def test_matches_uniform_draws_bit_for_bit(self, kind, widths):
+    def test_matches_uniform_draws_bit_for_bit(self, widths):
         # the construction as first written: one Generator.uniform matrix per
         # layer, then copied into the flat vector
-        spec = ModelSpec(kind=kind, layer_widths=widths)
+        spec = ModelSpec(layer_widths=widths)
         for seed in (0, 1, 7):
             rng = make_rng(seed)
             names, arrays = [], []
@@ -230,7 +227,7 @@ class TestLayout:
 
 class TestForward:
     def test_hand_computed_logistic_regression(self):
-        spec = ModelSpec(kind="logistic_regression", layer_widths=(2, 2))
+        spec = ModelSpec(layer_widths=(2, 2))
         params = init_params(spec, make_rng(0))
         params.arrays[0][:] = [[1.0, 0.0], [0.0, 1.0]]
         params.arrays[1][:] = [[0.5, -0.5]]
@@ -305,7 +302,7 @@ class TestBackward:
     @pytest.mark.parametrize("widths", [(3, 4, 2), (5, 3), (4, 6, 5, 3)])
     def test_matches_finite_differences(self, activation, widths):
         if len(widths) == 2:
-            spec = ModelSpec(kind="logistic_regression", layer_widths=widths)
+            spec = ModelSpec(layer_widths=widths)
         else:
             spec = ModelSpec(layer_widths=widths, activation=activation)
         rng = make_rng(5)
@@ -416,7 +413,7 @@ class TestBackward:
 
 class TestEvaluate:
     def test_accuracy_counts_argmax_hits(self):
-        spec = ModelSpec(kind="logistic_regression", layer_widths=(2, 2))
+        spec = ModelSpec(layer_widths=(2, 2))
         params = init_params(spec, make_rng(0))
         params.arrays[0][:] = [[1.0, 0.0], [0.0, 1.0]]
         params.arrays[1][:] = 0.0
@@ -467,18 +464,18 @@ class TestReferenceKernel:
     same floating-point operations in the same order, so equal bit for bit."""
 
     @pytest.mark.parametrize(
-        "kind, widths, activation, batch_size",
+        "widths, activation, batch_size",
         [
-            ("mlp", (2, 32, 32, 3), "relu", 6),
-            ("mlp", (4, 3, 2), "tanh", 1),
-            ("logistic_regression", (5, 3), "relu", 7),
-            ("mlp", (784, 16, 10), "relu", 64),
+            ((2, 32, 32, 3), "relu", 6),
+            ((4, 3, 2), "tanh", 1),
+            ((5, 3), "relu", 7),
+            ((784, 16, 10), "relu", 64),
         ],
         ids=["relu_w1", "tanh_batch1", "logistic", "relu_784"],
     )
-    def test_matches_reference_bit_for_bit(self, kind, widths, activation,
+    def test_matches_reference_bit_for_bit(self, widths, activation,
                                            batch_size):
-        spec = ModelSpec(kind=kind, layer_widths=widths, activation=activation)
+        spec = ModelSpec(layer_widths=widths, activation=activation)
         rng = make_rng(17)
         params = init_params(spec, rng)
         for b in params.arrays[1::2]:
