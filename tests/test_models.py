@@ -105,7 +105,9 @@ class TestModelSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"layer_widths": ()},
             {"layer_widths": (4,)},
+            {"layer_widths": (4, -3, 2)},
             {"layer_widths": (4, 0, 2)},
             {"activation": "gelu"},
         ],
