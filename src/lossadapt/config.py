@@ -22,7 +22,7 @@ config loads.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -35,13 +35,17 @@ from .trust import LapParams
 
 DATASET_KINDS = ("blobs", "idx_files", "csv")
 OPTIMIZER_KINDS = ("sgd", "adam")
+# the dataset keys that only kind blobs reads
+_BLOB_KEYS = (*(f.name for f in fields(BlobSpec)), "n_test_per_class")
 
 
 @dataclass(frozen=True)
 class DatasetConfig(BlobSpec):
     """The ``dataset`` section: the blob spec plus the source of the data.
 
-    The blob fields are validated on every kind; only ``blobs`` reads them.
+    Only ``blobs`` reads the blob keys. Another kind accepts them at their
+    defaults, which is how ``config.json`` records them, and refuses any
+    other value, which would be silently ignored.
     """
 
     kind: str = "blobs"
@@ -77,6 +81,13 @@ class DatasetConfig(BlobSpec):
             raise ConfigError(
                 f"dataset.n_test_per_class must be >= 1, got {self.n_test_per_class}"
             )
+        if self.kind != "blobs":
+            for f in fields(self):
+                if f.name in _BLOB_KEYS and getattr(self, f.name) != f.default:
+                    raise ConfigError(
+                        f"dataset.{f.name}: only kind blobs reads it, so kind "
+                        f"{self.kind} takes its default ({f.default!r})"
+                    )
 
     def test_blob_spec(self) -> BlobSpec:
         per_class = self.n_test_per_class or max(1, self.n_per_class // 4)

@@ -52,8 +52,27 @@ class Dataset:
     def n_features(self) -> int:
         return self.x.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.x[indices], self.y[indices], self.n_classes)
+
+def _permute_rows(order: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Reorder the rows of ``x`` and ``y`` in place so that row i holds what
+    row ``order[i]`` held. Each cycle of the permutation is followed from its
+    first row, which waits in one row of scratch while the others move up."""
+    order = order.tolist()
+    moved = bytearray(len(order))
+    x_first = np.empty(x.shape[1:], x.dtype)
+    for first in range(len(order)):
+        if moved[first]:
+            continue
+        x_first[...] = x[first]
+        y_first = y[first]
+        i, j = first, order[first]
+        while j != first:
+            x[i] = x[j]
+            y[i] = y[j]
+            moved[j] = 1
+            i, j = j, order[j]
+        x[i] = x_first
+        y[i] = y_first
 
 
 def _circle_centers(n_classes: int, radius: float = 4.0) -> np.ndarray:
@@ -109,7 +128,12 @@ class BlobSpec:
 def make_blobs(spec: BlobSpec, rng: np.random.Generator) -> Dataset:
     """Sample n_per_class points around each class center with isotropic
     Gaussian spread; rows are shuffled so class runs don't leak into
-    downstream splits."""
+    downstream splits.
+
+    Each class's normals are drawn straight into its rows and scaled and
+    shifted there, which gives the values and the stream of ``center +
+    spread * rng.normal(0, 1, ...)``; the shuffle is done in place, so the
+    features exist once."""
     centers = spec.center_array()
     dim = centers.shape[1]
     n = spec.n_classes * spec.n_per_class
@@ -118,10 +142,13 @@ def make_blobs(spec: BlobSpec, rng: np.random.Generator) -> Dataset:
     for c in range(spec.n_classes):
         lo = c * spec.n_per_class
         hi = lo + spec.n_per_class
-        x[lo:hi] = centers[c] + spec.spread * rng.normal(0.0, 1.0, (spec.n_per_class, dim))
+        rows = x[lo:hi]
+        rng.standard_normal(out=rows)
+        rows *= spec.spread
+        rows += centers[c]
         y[lo:hi] = c
-    order = rng.permutation(n)
-    return Dataset(x[order], y[order], spec.n_classes)
+    _permute_rows(rng.permutation(n), x, y)
+    return Dataset(x, y, spec.n_classes)
 
 
 def _read_binary(path) -> bytes:
@@ -170,7 +197,8 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
             f"{labels_path} holds {labels.shape[0]} labels"
         )
     n, rows, cols = images.shape
-    x = images.reshape(n, rows * cols).astype(np.float64) / 255.0
+    x = images.reshape(n, rows * cols).astype(np.float64)
+    x /= 255.0
     y = labels.astype(np.int64)
     if n_classes is None:
         n_classes = int(y.max()) + 1 if n else 2
@@ -219,7 +247,11 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
 def split_train_val(
     dataset: Dataset, rng: np.random.Generator, ratio: tuple[int, int] = (3, 1)
 ) -> tuple[Dataset, Dataset]:
-    """Random split by the given train:val ratio (default 3:1)."""
+    """Random split by the given train:val ratio (default 3:1).
+
+    The split consumes its input: the dataset's rows are reordered in place,
+    the training rows first, and the two halves returned are views of its
+    arrays, so no row is copied."""
     a, b = int(ratio[0]), int(ratio[1])
     if a < 1 or b < 1:
         raise ConfigError(f"train/val ratio parts must be >= 1, got {ratio}")
@@ -228,4 +260,10 @@ def split_train_val(
         raise DataError(f"need >= 2 items to split, got {n}")
     n_val = max(1, (n * b) // (a + b))
     order = rng.permutation(n)
-    return dataset.subset(order[n_val:]), dataset.subset(order[:n_val])
+    x, y = dataset.x, dataset.y
+    _permute_rows(np.concatenate((order[n_val:], order[:n_val])), x, y)
+    n_train = n - n_val
+    return (
+        Dataset(x[:n_train], y[:n_train], dataset.n_classes),
+        Dataset(x[n_train:], y[n_train:], dataset.n_classes),
+    )

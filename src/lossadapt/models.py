@@ -11,10 +11,11 @@ only ever read through ``flat`` never builds them.
 
 One forward pass serves prediction, evaluation and training: each layer
 computes ``z = h @ w``, adds the bias and activates ``z`` in place, so only
-the activations are kept. The backward pass reads the activation derivative
-off them (ReLU: ``act > 0``; tanh: ``1 - act²``) and writes each call's
-gradients into a new vector of the parameters' layout. It is hand-derived
-for the dense/relu/softmax stack; no general autodiff.
+the activations are kept. Prediction and evaluation take their input
+:data:`FORWARD_BLOCK` rows at a time. The backward pass reads the activation
+derivative off the activations (ReLU: ``act > 0``; tanh: ``1 - act²``) and
+writes each call's gradients into a new vector of the parameters' layout.
+It is hand-derived for the dense/relu/softmax stack; no general autodiff.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
 _ACTIVATIONS = ("relu", "tanh")
+# rows taken at a time by forward: its activations depend on this and the
+# layer widths, not on the number of rows
+FORWARD_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -232,9 +236,22 @@ def _forward(params: ParameterSet, spec: ModelSpec,
 
 
 def forward(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Class logits for each input row; shape (n_rows, n_classes)."""
+    """Class logits for each input row; shape (n_rows, n_classes).
+
+    The rows run through the model :data:`FORWARD_BLOCK` at a time. No block
+    has one row unless the input has: numpy sends a one-row product to gemv,
+    whose sums can differ from gemm's in the last bit, so a lone last row
+    joins the block before it."""
     x = _check_input(spec, x)
-    return _require_finite(_forward(params, spec, x)[-1], "logits")
+    n = len(x)
+    cuts = list(range(FORWARD_BLOCK, n, FORWARD_BLOCK))
+    if cuts and n - cuts[-1] == 1:
+        cuts.pop()
+    bounds = [0, *cuts, n]
+    logits = np.empty((n, spec.n_classes))
+    for start, stop in zip(bounds, bounds[1:]):
+        logits[start:stop] = _forward(params, spec, x[start:stop])[-1]
+    return _require_finite(logits, "logits")
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -30,7 +30,10 @@ def write_config(tmp_path, **overrides):
         "seeds": [0],
     }
     for key, value in overrides.items():
-        if isinstance(value, dict) and key in payload:
+        if key == "dataset" and value.get("kind", "blobs") != "blobs":
+            # a file dataset takes none of the blob keys
+            payload[key] = value
+        elif isinstance(value, dict) and key in payload:
             payload[key] = {**payload[key], **value}
         else:
             payload[key] = value

@@ -220,6 +220,33 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dataset.path"):
             config_from_dict({"dataset": {"kind": "csv"}})
 
+    FILE_KINDS = {
+        "csv": {"kind": "csv", "path": "train.csv"},
+        "idx_files": {"kind": "idx_files", "train_images": "a",
+                      "train_labels": "b"},
+    }
+
+    @pytest.mark.parametrize("kind", ["csv", "idx_files"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_classes", 7), ("n_per_class", 5), ("centers", [[0, 0], [1, 1], [2, 2]]),
+         ("spread", 0.5), ("n_test_per_class", 3)],
+    )
+    def test_file_kinds_refuse_blob_values(self, kind, key, value):
+        raw = {**self.FILE_KINDS[kind], key: value}
+        with pytest.raises(ConfigError, match=f"dataset.{key}: only kind blobs"):
+            config_from_dict({"dataset": raw})
+
+    @pytest.mark.parametrize("kind", ["csv", "idx_files"])
+    def test_file_kinds_load_blob_defaults(self, kind, tmp_path):
+        # config.json records every key, the blob keys at their defaults
+        defaults = {"n_classes": 3, "n_per_class": 100, "centers": None,
+                    "spread": 1, "n_test_per_class": None}
+        config = config_from_dict({"dataset": {**self.FILE_KINDS[kind], **defaults}})
+        path = tmp_path / "config.json"
+        serialize_config(config, path)
+        assert load_config(path) == config
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")

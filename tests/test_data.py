@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lossadapt.datasets import (
     BlobSpec,
     Dataset,
+    _permute_rows,
     load_csv_dataset,
     load_idx,
     make_blobs,
@@ -62,11 +64,28 @@ class TestDataset:
         with pytest.raises(DataError, match="labels must be integers"):
             Dataset(np.ones((2, 2)), np.array([0.5, 1.7]), 3)
 
-    def test_subset(self):
-        ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2)
-        sub = ds.subset(np.array([2, 0]))
-        np.testing.assert_array_equal(sub.x, [[4.0, 5.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(sub.y, [0, 0])
+
+class TestPermuteRows:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_fancy_indexing(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        x = rng.normal(size=(n, 3))
+        y = rng.integers(0, 5, n)
+        order = rng.permutation(n)
+        expected_x, expected_y = x[order], y[order]
+        _permute_rows(order, x, y)
+        assert x.tobytes() == expected_x.tobytes()
+        assert y.tobytes() == expected_y.tobytes()
+
+    def test_identity_and_one_cycle(self):
+        x = np.arange(10.0).reshape(5, 2)
+        y = np.arange(5)
+        _permute_rows(np.arange(5), x, y)
+        np.testing.assert_array_equal(y, np.arange(5))
+        _permute_rows(np.array([1, 2, 3, 4, 0]), x, y)
+        np.testing.assert_array_equal(y, [1, 2, 3, 4, 0])
+        np.testing.assert_array_equal(x[:, 0], 2.0 * y)
 
 
 class TestBlobs:
@@ -94,6 +113,24 @@ class TestBlobs:
         b = make_blobs(spec, make_rng(4))
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("spread", [0.0, 0.7])
+    def test_matches_out_of_place_draws_bit_for_bit(self, spread):
+        # the in-place draws and shuffle give the values and the stream of
+        # center + spread * normal(0, 1) per class, gathered by the order
+        spec = BlobSpec(n_classes=4, n_per_class=30, spread=spread)
+        rng, ref_rng = make_rng(9), make_rng(9)
+        ds = make_blobs(spec, rng)
+        centers = spec.center_array()
+        x = np.concatenate([
+            centers[c] + spread * ref_rng.normal(0.0, 1.0, (30, 2))
+            for c in range(4)
+        ])
+        y = np.repeat(np.arange(4), 30)
+        order = ref_rng.permutation(120)
+        assert ds.x.tobytes() == x[order].tobytes()
+        assert ds.y.tobytes() == y[order].tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_default_centers_distinct_and_2d(self):
         spec = BlobSpec(n_classes=5, n_per_class=1)
@@ -184,6 +221,24 @@ class TestIdx:
         with pytest.raises(FormatError, match="header"):
             load_idx(stub, lp)
 
+    def test_images_exist_as_one_float_copy(self, idx_pair):
+        # loading and then splitting hold the float64 images once
+        images = np.random.default_rng(0).integers(0, 256, (1000, 28, 28))
+        ip, lp = idx_pair(images, np.arange(1000) % 10)
+        split_train_val(load_idx(ip, lp), make_rng(0))  # one-off imports
+        tracemalloc.start()
+        try:
+            ds = load_idx(ip, lp)
+            loaded = tracemalloc.get_traced_memory()[1]
+            split_train_val(ds, make_rng(0))
+            split = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 features and a few copies of the 1-byte pixels
+        bound = ds.x.nbytes + 4 * images.size
+        assert loaded < bound
+        assert split < bound
+
     def test_count_mismatch(self, tmp_path):
         ip = tmp_path / "images.idx"
         lp = tmp_path / "labels.idx"
@@ -239,6 +294,42 @@ class TestSplit:
         train, val = split_train_val(ds, make_rng(0), ratio=(1, 1))
         assert len(train) == 5
         assert len(val) == 5
+
+    def test_halves_are_views_of_the_input(self):
+        ds = Dataset(np.arange(40.0).reshape(20, 2), np.arange(20) % 2, 2)
+        train, val = split_train_val(ds, make_rng(0))
+        for half in (train, val):
+            assert np.shares_memory(half.x, ds.x)
+            assert np.shares_memory(half.y, ds.y)
+        assert len(train) + len(val) == len(ds)
+
+    def test_rows_stay_paired(self):
+        x = np.arange(60.0).reshape(30, 2)
+        ds = Dataset(x, np.arange(30) % 3, 3)
+        for half in split_train_val(ds, make_rng(2)):
+            np.testing.assert_array_equal(half.x[:, 1], half.x[:, 0] + 1.0)
+            np.testing.assert_array_equal(half.y, (half.x[:, 0] // 2) % 3)
+
+    def test_matches_gathers_by_the_drawn_order(self):
+        x = np.random.default_rng(0).normal(size=(30, 3))
+        y = np.arange(30) % 3
+        train, val = split_train_val(Dataset(x.copy(), y.copy(), 3), make_rng(4))
+        order = make_rng(4).permutation(30)
+        n_val = len(val)
+        assert train.x.tobytes() == x[order[n_val:]].tobytes()
+        assert val.x.tobytes() == x[order[:n_val]].tobytes()
+        assert train.y.tobytes() == y[order[n_val:]].tobytes()
+        assert val.y.tobytes() == y[order[:n_val]].tobytes()
+
+    def test_fresh_copies_split_alike(self):
+        x = np.arange(60.0).reshape(30, 2)
+        y = np.arange(30) % 2
+        a = split_train_val(Dataset(x.copy(), y.copy(), 2), make_rng(7))
+        b = split_train_val(Dataset(x.copy(), y.copy(), 2), make_rng(7))
+        for a_half, b_half in zip(a, b):
+            assert not np.shares_memory(a_half.x, b_half.x)
+            np.testing.assert_array_equal(a_half.x, b_half.x)
+            np.testing.assert_array_equal(a_half.y, b_half.y)
 
     def test_deterministic(self):
         ds = Dataset(np.arange(30.0)[:, None], np.zeros(30, dtype=int), 2)

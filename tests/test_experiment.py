@@ -49,7 +49,10 @@ def small_config(**overrides):
         "seeds": [0],
     }
     for key, value in overrides.items():
-        if isinstance(value, dict) and key in base:
+        if key == "dataset" and value.get("kind", "blobs") != "blobs":
+            # a file dataset takes none of the blob keys
+            base[key] = value
+        elif isinstance(value, dict) and key in base:
             base[key] = {**base[key], **value}
         else:
             base[key] = value

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lossadapt import models
 from lossadapt.errors import ConfigError, DataError, NumericError, ShapeError
 from lossadapt.models import (
+    FORWARD_BLOCK,
     GradientSet,
     ModelSpec,
     ParameterSet,
@@ -18,6 +21,13 @@ from lossadapt.models import (
     predict,
 )
 from lossadapt.rng import make_rng
+
+# the W1 model, the reference kernel's 784-feature model and a tanh model
+BLOCKED_SHAPES = pytest.mark.parametrize(
+    "widths, activation",
+    [((2, 32, 32, 3), "relu"), ((784, 16, 10), "relu"), ((4, 3, 2), "tanh")],
+    ids=["relu_w1", "relu_784", "tanh"],
+)
 
 
 def reference_log_softmax(logits):
@@ -265,6 +275,59 @@ class TestForward:
         bad = GradientSet(params.names, [np.ones((3, 2)), np.ones((1, 3))])
         with pytest.raises(ShapeError):
             check_congruent(params, bad)
+
+
+class TestBlockedForward:
+    """forward runs its input FORWARD_BLOCK rows at a time."""
+
+    @BLOCKED_SHAPES
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
+    def test_equals_one_whole_input_pass_bit_for_bit(self, widths, activation,
+                                                     n):
+        spec = ModelSpec(layer_widths=widths, activation=activation)
+        rng = make_rng(5)
+        params = init_params(spec, rng)
+        for b in params.arrays[1::2]:
+            b[...] = rng.normal(0.0, 0.5, b.shape)
+        x = rng.normal(0.0, 1.5, (n, widths[0]))
+        whole = models._forward(params, spec, x)[-1]
+        assert forward(params, spec, x).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 512, 513, 514, 1024, 1025, 1537, 3000]
+    )
+    def test_no_block_has_one_row_unless_the_input_does(self, n, monkeypatch):
+        sizes = []
+        whole = models._forward
+
+        def recording(params, spec, x):
+            sizes.append(len(x))
+            return whole(params, spec, x)
+
+        monkeypatch.setattr(models, "_forward", recording)
+        spec = ModelSpec(layer_widths=(3, 2))
+        forward(init_params(spec, make_rng(0)), spec, np.ones((n, 3)))
+        assert sum(sizes) == n
+        assert max(sizes) <= FORWARD_BLOCK + 1
+        assert min(sizes) > 1 or n < 2
+
+    def test_memory_does_not_grow_with_rows(self):
+        spec = ModelSpec(layer_widths=(64, 256, 128, 10))
+        params = init_params(spec, make_rng(0))
+
+        def peak_bytes(n):
+            x = make_rng(n).normal(size=(n, 64))
+            tracemalloc.start()
+            try:
+                logits = forward(params, spec, x)
+                return tracemalloc.get_traced_memory()[1] - logits.nbytes
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(FORWARD_BLOCK)  # the first call's one-off imports and caches
+        short, long = peak_bytes(4 * FORWARD_BLOCK), peak_bytes(16 * FORWARD_BLOCK)
+        assert short < 4 * 2**20
+        assert long < 1.1 * short
 
 
 class TestLoss:
