@@ -54,7 +54,6 @@ from .models import (
     forward,
     init_params,
     loss_and_backward,
-    predict,
 )
 from .optim import SGD, Adam, LapOptimizer
 from .rng import child_rng, make_rng
@@ -111,7 +110,6 @@ __all__ = [
     "loss_and_backward",
     "make_blobs",
     "make_rng",
-    "predict",
     "run_experiment",
     "run_single",
     "scale_gradients",

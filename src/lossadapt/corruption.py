@@ -92,12 +92,6 @@ class SourcePlan:
         """Dataset indices belonging to ``source``."""
         return np.flatnonzero(self.assignment == source)
 
-    def source_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.n_sources)
-
-    def is_corrupt(self, source: int) -> bool:
-        return source in self.corrupt_source_ids
-
 
 def split_into_sources(
     n_items: int,

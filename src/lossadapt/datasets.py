@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -207,11 +208,11 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
 
 def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
     """Numeric CSV, label in the last column; a non-numeric first row is
-    treated as a header."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise FormatError(f"{path}: empty file")
+    treated as a header.
+
+    Each cell is parsed with ``float()`` straight into one float64 array, so
+    no row is held as Python objects, and the features are copied out of it
+    so that the label column is freed."""
 
     def numeric(row):
         try:
@@ -219,20 +220,27 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
         except ValueError:
             return None
 
-    if numeric(rows[0]) is None:
-        rows = rows[1:]
-        if not rows:
-            raise FormatError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    if width < 2:
-        raise FormatError(f"{path}: rows need >= 2 columns (features, label)")
-    parsed = []
-    for i, row in enumerate(rows):
-        values = numeric(row)
-        if values is None or len(values) != width:
-            raise FormatError(f"{path}: bad row {i + 1}: {row!r}")
-        parsed.append(values)
-    data = np.asarray(parsed)
+    with open(path, newline="") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        first = next(rows, None)
+        if first is None:
+            raise FormatError(f"{path}: empty file")
+        if numeric(first) is None:
+            first = next(rows, None)
+            if first is None:
+                raise FormatError(f"{path}: header but no data rows")
+        width = len(first)
+        if width < 2:
+            raise FormatError(f"{path}: rows need >= 2 columns (features, label)")
+
+        def cells():
+            for i, row in enumerate(itertools.chain([first], rows)):
+                values = numeric(row)
+                if values is None or len(values) != width:
+                    raise FormatError(f"{path}: bad row {i + 1}: {row!r}")
+                yield from values
+
+        data = np.fromiter(cells(), dtype=np.float64).reshape(-1, width)
     y_raw = data[:, -1]
     if not np.all(y_raw == np.round(y_raw)):
         raise FormatError(f"{path}: last column must hold integer labels")
@@ -241,7 +249,7 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
         raise FormatError(f"{path}: negative label {y.min()}")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    return Dataset(data[:, :-1], y, max(n_classes, 2))
+    return Dataset(np.ascontiguousarray(data[:, :-1]), y, max(n_classes, 2))
 
 
 def split_train_val(

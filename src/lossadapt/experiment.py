@@ -19,9 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from dataclasses import replace as dc_replace
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .datasets import (
     make_blobs,
     split_train_val,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .models import evaluate, init_params, loss_and_backward
 from .optim import LapOptimizer
 from .rng import child_rng
@@ -42,10 +40,10 @@ from .trust import SourceRegistry, depression_value
 
 METRICS_CSV_COLUMNS = ("seed", "epoch", "split", "accuracy", "mean_loss")
 TRACE_CSV_COLUMNS = ("step", "source_id", "distrust", "gradient_scale", "is_corrupt")
-# steps of the trace taken at a time by level discovery and the CSV writer:
-# their memory depends on this, the number of sources and the number of
-# distinct distrust levels, not on the number of steps
-TRACE_BLOCK = 512
+# steps of the trace the CSV writer renders at a time: its memory depends on
+# this, the number of sources and the highest distrust level, not on the
+# number of steps
+TRACE_BLOCK = 256
 
 # substream keys under the run seed
 _STREAM_DATA = 0
@@ -68,11 +66,13 @@ class MetricsRecord:
 class Trace:
     """Every source's distrust after every optimizer step of one run.
 
-    Held as arrays: one float64 and one flag per step and source, and one
-    flag per step. Gradient scales are derived from distrust once per
-    distinct level. Columns follow ``source_ids``, in registration order.
+    Held as arrays: one level and one flag per step and source, and one
+    flag per step. Distrust is a count: a ±1 walk from 0, so every level is
+    a whole number in [0, steps]. Gradient scales are derived from distrust
+    once per level, by :meth:`scales`. Columns follow ``source_ids``, in
+    registration order.
 
-    distrust            float64 (steps, n_sources)
+    distrust            int32 (steps, n_sources), levels in [0, steps]
     depression_applied  bool (steps,): the step's gradients were scaled by
                         1 - depression; when false, every scale is 1.0
     is_corrupt          bool (steps, n_sources): the source's data counts
@@ -90,40 +90,34 @@ class Trace:
         self.source_ids = tuple(source_ids)
         self.depression_strength = depression_strength
         n = len(self.source_ids)
-        self.distrust = np.zeros((steps, n))
+        self.distrust = np.zeros((steps, n), dtype=np.int32)
         self.depression_applied = np.zeros(steps, dtype=bool)
         self.is_corrupt = np.zeros((steps, n), dtype=bool)
         self.is_corrupt[:flip_step] = [s in corrupt_source_ids for s in self.source_ids]
 
-    def levels(self) -> tuple[list[float], list[float], Callable]:
-        """The distinct distrust levels in ascending order, the gradient
-        scale of each while depression applies, and a function mapping
-        distrust values to their indices into both. The levels are gathered
-        :data:`TRACE_BLOCK` steps at a time, so no copy of the whole trace
-        is sorted."""
-        distinct = np.empty(0)
-        for start in range(0, len(self.distrust), TRACE_BLOCK):
-            block = self.distrust[start:start + TRACE_BLOCK]
-            # asked for counts, np.unique sorts; asked for nothing, numpy 2.x
-            # first imports numpy.ma (about 8 ms) to test for a mask
-            distinct, _ = np.unique(
-                np.concatenate((distinct, block), axis=None), return_counts=True
+    def scales(self) -> np.ndarray:
+        """The gradient scale of each distrust level while depression
+        applies, indexed by level, from 0 to the trace's highest.
+
+        A ±1 walk from 0 reaches no level outside [0, steps], so any other
+        level raises :class:`DataError` before the table is built."""
+        steps = len(self.distrust)
+        low = int(self.distrust.min(initial=0))
+        high = int(self.distrust.max(initial=0))
+        if low < 0 or high > steps:
+            raise DataError(
+                f"distrust level {low if low < 0 else high} lies outside "
+                f"[0, {steps}], the levels a walk of {steps} steps reaches"
             )
-        values = distinct.tolist()
         strength = self.depression_strength
-        scales = [1.0 - depression_value(v, strength) for v in values]
-        return values, scales, partial(np.searchsorted, distinct)
+        return np.array(
+            [1.0 - depression_value(v, strength) for v in range(high + 1)]
+        )
 
     def gradient_scales(self) -> np.ndarray:
-        """(steps, n_sources) gradient scale of every source at every step,
-        filled :data:`TRACE_BLOCK` steps at a time."""
-        _, scales, index_of = self.levels()
-        scales = np.array(scales)
-        out = np.ones_like(self.distrust)
-        for start in range(0, len(out), TRACE_BLOCK):
-            rows = slice(start, start + TRACE_BLOCK)
-            applied = self.depression_applied[rows]
-            out[rows][applied] = scales[index_of(self.distrust[rows][applied])]
+        """(steps, n_sources) gradient scale of every source at every step."""
+        out = self.scales()[self.distrust]
+        out[~self.depression_applied] = 1.0
         return out
 
 
@@ -334,15 +328,16 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     Lines are rendered and written :data:`TRACE_BLOCK` steps at a time, so
     the memory this takes does not grow with the number of steps."""
-    values, scales, index_of = trace.levels()
-    n = len(values)
+    table = trace.scales()
+    n = len(table)
     # each line after "step,source_id," is one of four texts per distrust
-    # level, picked by the step's depression flag and the corrupt flag
+    # level, picked by the step's depression flag and the corrupt flag; a
+    # level is written with :g, never str(), so that 10**6 reads 1e+06
     tails = np.array([
         f"{v:g},{s:.10g},{corrupt}\r\n"
-        for level_scales in ([1.0] * n, scales)
+        for level_scales in ([1.0] * n, table)
         for corrupt in (0, 1)
-        for v, s in zip(values, level_scales)
+        for v, s in enumerate(level_scales)
     ], dtype=object)
     steps, n_sources = trace.distrust.shape
     # a block's lines as (step, source, part): step text, ",source_id,", tail
@@ -352,7 +347,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.write(",".join(TRACE_CSV_COLUMNS) + "\r\n")
         for start in range(0, steps, TRACE_BLOCK):
             stop = min(start + TRACE_BLOCK, steps)
-            codes = index_of(trace.distrust[start:stop])
+            codes = trace.distrust[start:stop].astype(np.intp)
             codes += n * (
                 2 * trace.depression_applied[start:stop, None]
                 + trace.is_corrupt[start:stop]

@@ -9,13 +9,13 @@ the parameters and every gradient set, so optimizers work on whole vectors
 and layers on matrices; the views are built on first use, so a set that is
 only ever read through ``flat`` never builds them.
 
-One forward pass serves prediction, evaluation and training: each layer
-computes ``z = h @ w``, adds the bias and activates ``z`` in place, so only
-the activations are kept. Prediction and evaluation take their input
-:data:`FORWARD_BLOCK` rows at a time. The backward pass reads the activation
-derivative off the activations (ReLU: ``act > 0``; tanh: ``1 - act²``) and
-writes each call's gradients into a new vector of the parameters' layout.
-It is hand-derived for the dense/relu/softmax stack; no general autodiff.
+One forward pass serves evaluation and training: each layer computes
+``z = h @ w``, adds the bias and activates ``z`` in place, so only the
+activations are kept. Evaluation takes its input :data:`FORWARD_BLOCK`
+rows at a time. The backward pass reads the activation derivative off the
+activations (ReLU: ``act > 0``; tanh: ``1 - act²``) and writes each call's
+gradients into a new vector of the parameters' layout. It is hand-derived
+for the dense/relu/softmax stack; no general autodiff.
 """
 
 from __future__ import annotations
@@ -344,11 +344,6 @@ def loss_and_backward(
             else:
                 delta *= 1.0 - acts[i] * acts[i]
     return loss, grads
-
-
-def predict(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row."""
-    return forward(params, spec, x).argmax(axis=1)
 
 
 def evaluate(

@@ -264,6 +264,26 @@ class TestCsv:
         assert len(ds) == 1
         assert ds.n_classes == 3
 
+    def test_features_are_parsed_once_and_held_alone(self, tmp_path):
+        rng = make_rng(0)
+        x = rng.normal(0, 1, (2000, 20))
+        p = tmp_path / "data.csv"
+        p.write_text("".join(
+            ",".join(map(repr, row)) + f",{label}\n"
+            for row, label in zip(x.tolist(), rng.integers(0, 5, 2000).tolist())
+        ))
+        load_csv_dataset(p)  # the first call's one-off imports and caches
+        tracemalloc.start()
+        try:
+            ds = load_csv_dataset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.x, x)
+        # one float64 table of the file, and the features copied out of it
+        assert peak < 3 * ds.x.nbytes
+        assert ds.x.flags.c_contiguous and ds.x.base is None
+
     @pytest.mark.parametrize(
         "content",
         ["", "f1,f2,label\n", "1.0,2.0,0\n3.0,1\n", "1.0,2.0,0.5\n", "1.0\n",

@@ -7,6 +7,7 @@ import os
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import conftest
 
 from lossadapt import experiment, optim
 from lossadapt.config import config_from_dict, load_config, serialize_config
-from lossadapt.errors import ConfigError, NumericError
+from lossadapt.errors import ConfigError, DataError, NumericError
 from lossadapt.experiment import (
     METRICS_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
@@ -391,6 +392,20 @@ class TestParity:
         assert all(v == 1.0 for v in result.final_scales.values())
         assert (result.trace.gradient_scales() == 1.0).all()
 
+    def test_hold_off_past_the_run_equals_lap_off(self, tmp_path):
+        # while depression is held off, LAP only watches: every gradient
+        # and so every output file is the LAP-off run's
+        config = small_config(seeds=[0, 1])
+        steps = max(total_steps(config, seed) for seed in config.seeds)
+        held = config.replace(lap=dc_replace(config.lap, hold_off=steps))
+        off = config.replace(lap=dc_replace(config.lap, enabled=False))
+        run_experiment(held, out_dir=tmp_path / "held")
+        run_experiment(off, out_dir=tmp_path / "off")
+        for name in ("metrics.csv", "trace_seed0.csv", "trace_seed1.csv"):
+            assert filecmp.cmp(
+                tmp_path / "held" / name, tmp_path / "off" / name, shallow=False
+            ), name
+
 
 class TestSweep:
     def test_grid_of_one_matches_single_run(self):
@@ -602,14 +617,14 @@ def csv_writer_rendering(trace):
     return buf.getvalue().encode()
 
 
-# non-integer levels, and levels that %g writes with an exponent
-HAND_LEVELS = (0.0, 1.0, 2.5, 3.0, 0.1 + 0.2, 1e-05, 123456789.5, 4e20)
-
-
 def hand_built_trace(steps, lap, flip_step, seed=0):
+    """Whole distrust levels drawn from [0, steps], the levels a walk of
+    ``steps`` steps from 0 can reach, with one cell at the bound."""
     rng = np.random.default_rng(seed)
     trace = Trace((3, 7, 11, 12), steps, 1.5, frozenset({7, 12}), flip_step)
-    trace.distrust[:] = rng.choice(HAND_LEVELS, size=trace.distrust.shape)
+    trace.distrust[:] = rng.integers(0, steps + 1, size=trace.distrust.shape)
+    if steps:
+        trace.distrust[rng.integers(steps), rng.integers(4)] = steps
     if lap:
         # off during a hold-off, then on
         trace.depression_applied[steps // 3:] = True
@@ -630,7 +645,7 @@ class TestTraceWriter:
         write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
 
-    @pytest.mark.parametrize("steps", [0, 1, 2 * TRACE_BLOCK + 7])
+    @pytest.mark.parametrize("steps", [0, 1, 1031])
     def test_gradient_scales_match_each_cell(self, steps):
         trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
         strength = trace.depression_strength
@@ -642,24 +657,18 @@ class TestTraceWriter:
         ]
         assert trace.gradient_scales().tolist() == expected
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_levels_match_unique_with_inverse(self, seed):
-        rng = np.random.default_rng(seed)
-        steps = int(rng.integers(0, 3 * TRACE_BLOCK))
-        n_sources = int(rng.integers(1, 9))
-        trace = Trace(range(n_sources), steps, float(rng.uniform(0.5, 4.0)),
-                      frozenset({0}), None)
-        pool = np.concatenate([rng.integers(0, 60, 40), rng.normal(5, 20, 40)])
-        trace.distrust[:] = rng.choice(pool, size=trace.distrust.shape)
-        values, scales, index_of = trace.levels()
-        index = index_of(trace.distrust)
-
-        expected, inverse = np.unique(trace.distrust.ravel(), return_inverse=True)
-        assert values == expected.tolist()
-        assert scales == [
-            1.0 - depression_value(v, trace.depression_strength) for v in values
-        ]
-        np.testing.assert_array_equal(index, inverse.reshape(trace.distrust.shape))
+    @pytest.mark.parametrize("steps", [1, 1031])
+    @pytest.mark.parametrize("bad", ["below", "above"])
+    def test_levels_outside_the_walk_are_refused(self, steps, bad, tmp_path):
+        trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
+        level = -1 if bad == "below" else steps + 1
+        trace.distrust[steps // 2, 1] = level
+        match = rf"distrust level {level} lies outside \[0, {steps}\]"
+        with pytest.raises(DataError, match=match):
+            trace.gradient_scales()
+        with pytest.raises(DataError, match=match):
+            write_trace_csv(trace, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_memory_does_not_grow_with_steps(self):
         def peak_bytes(steps):

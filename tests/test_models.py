@@ -18,7 +18,6 @@ from lossadapt.models import (
     init_params,
     log_softmax,
     loss_and_backward,
-    predict,
 )
 from lossadapt.rng import make_rng
 
@@ -515,13 +514,6 @@ class TestEvaluate:
         params = init_params(spec, make_rng(0))
         with pytest.raises(error):
             evaluate(params, spec, np.ones((3, 4)), y)
-
-    def test_predict_shapes(self):
-        spec = ModelSpec(layer_widths=(4, 3, 2))
-        params = init_params(spec, make_rng(0))
-        out = predict(params, spec, np.ones((6, 4)))
-        assert out.shape == (6,)
-        assert out.dtype.kind == "i"
 
 
 class TestReferenceKernel:

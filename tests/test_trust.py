@@ -482,6 +482,37 @@ class TestNaiveOracle:
             assert 1.0 - reg.depression(s) == naive.scale(s)
 
 
+class TestLossScaleInvariance:
+    """Scaling every loss by a power of two scales every sum, mean, std and
+    threshold exactly, so the ±1 comparisons, ties included, come out the
+    same and every distrust walk is bit-identical."""
+
+    @pytest.mark.parametrize("k", [3, -5])
+    def test_walks_ignore_power_of_two_loss_scale(self, k):
+        moved = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 7))
+            params = LapParams(
+                leniency=float(rng.choice([0.1, 0.5, 0.8, 1.3])),
+                history_length=int(rng.integers(2, 8)),
+            )
+            sources = rng.integers(0, n, 300)
+            # exact eighths on even seeds, so peers tie; continuous otherwise
+            if seed % 2 == 0:
+                losses = rng.integers(0, 41, 300) / 8
+            else:
+                losses = rng.lognormal(0.0, 0.5, 300) + rng.uniform(0, 1, n)[sources]
+            reg = SourceRegistry(range(n), params=params)
+            scaled = SourceRegistry(range(n), params=params)
+            for s, loss in zip(sources.tolist(), losses.tolist()):
+                reg.record_loss(s, loss)
+                scaled.record_loss(s, math.ldexp(loss, k))
+                assert reg.distrust_levels.tobytes() == scaled.distrust_levels.tobytes()
+            moved += int(reg.distrust_levels.any())
+        assert moved > 20
+
+
 def assert_stats_match_levels(reg):
     """Every source's weighted_other_stats and source_mean equal the
     expressions recomputed from the registry's loss buffer and distrust
