@@ -34,9 +34,26 @@ from .optim import SGD, Adam
 from .trust import LapParams
 
 DATASET_KINDS = ("blobs", "idx_files", "csv")
-OPTIMIZER_KINDS = ("sgd", "adam")
 # the dataset keys that only kind blobs reads
 _BLOB_KEYS = (*(f.name for f in fields(BlobSpec)), "n_test_per_class")
+# each optimizer kind and the keys that only it reads
+_OPTIMIZER_KEYS = {
+    "sgd": ("momentum", "weight_decay"), "adam": ("beta1", "beta2", "eps")
+}
+OPTIMIZER_KINDS = tuple(_OPTIMIZER_KEYS)
+
+
+def _refuse_unread(section: str, config, readers: dict) -> None:
+    """Refuse a non-default value for a key that ``config.kind`` never reads
+    (the run would ignore it); ``readers`` maps a kind to the keys only it reads."""
+    # each key this kind never reads, and the kind that does
+    unread = {k: r for r, keys in readers.items() if r != config.kind for k in keys}
+    for f in fields(config):
+        if f.name in unread and getattr(config, f.name) != f.default:
+            raise ConfigError(
+                f"{section}.{f.name}: only kind {unread[f.name]} reads it, so "
+                f"kind {config.kind} takes its default ({f.default!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,13 +98,7 @@ class DatasetConfig(BlobSpec):
             raise ConfigError(
                 f"dataset.n_test_per_class must be >= 1, got {self.n_test_per_class}"
             )
-        if self.kind != "blobs":
-            for f in fields(self):
-                if f.name in _BLOB_KEYS and getattr(self, f.name) != f.default:
-                    raise ConfigError(
-                        f"dataset.{f.name}: only kind blobs reads it, so kind "
-                        f"{self.kind} takes its default ({f.default!r})"
-                    )
+        _refuse_unread("dataset", self, {"blobs": _BLOB_KEYS})
 
     def test_blob_spec(self) -> BlobSpec:
         per_class = self.n_test_per_class or max(1, self.n_per_class // 4)
@@ -114,6 +125,7 @@ class OptimizerConfig:
             raise ConfigError(
                 f"optimizer.kind: {self.kind!r} not one of {OPTIMIZER_KINDS}"
             )
+        _refuse_unread("optimizer", self, _OPTIMIZER_KEYS)
         # the optimizers own their checks; building one runs them at load
         try:
             self.build()
@@ -122,17 +134,9 @@ class OptimizerConfig:
 
     def build(self):
         """Fresh optimizer instance (state is per run)."""
-        if self.kind == "sgd":
-            return SGD(
-                learning_rate=self.learning_rate,
-                momentum=self.momentum,
-                weight_decay=self.weight_decay,
-            )
-        return Adam(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
+        keys = _OPTIMIZER_KEYS[self.kind]
+        return (SGD if self.kind == "sgd" else Adam)(
+            self.learning_rate, **{k: getattr(self, k) for k in keys}
         )
 
 

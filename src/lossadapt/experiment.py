@@ -64,19 +64,20 @@ class MetricsRecord:
 
 
 class Trace:
-    """Every source's distrust after every optimizer step of one run.
+    """Every source's distrust after every optimizer step of one run, and
+    the step where each of its two schedules switches.
 
-    Held as arrays: one level and one flag per step and source, and one
-    flag per step. Distrust is a count: a ±1 walk from 0, so every level is
-    a whole number in [0, steps]. Gradient scales are derived from distrust
-    once per level, by :meth:`scales`. Columns follow ``source_ids``, in
-    registration order.
+    Distrust is a count: a ±1 walk from 0, so every level is a whole number
+    in [0, steps]. Gradient scales are derived from distrust once per
+    level, by :meth:`scales`. Columns follow ``source_ids``, in
+    registration order. A trace holds only the schedules of the paper: a
+    corrupt source turns clean at most once, and depression, once on, stays on.
 
-    distrust            int32 (steps, n_sources), levels in [0, steps]
-    depression_applied  bool (steps,): the step's gradients were scaled by
-                        1 - depression; when false, every scale is 1.0
-    is_corrupt          bool (steps, n_sources): the source's data counts
-                        as corrupt at that step (before the reliability flip)
+    distrust        int32 (steps, n_sources), levels in [0, steps]
+    corrupt         bool (n_sources,): the source's data is corrupt before
+                    ``clean_from``, the reliability flip (``steps`` if none)
+    depressed_from  the first step whose gradients were scaled by 1 -
+                    depression (``steps`` if none); before it, scales are 1.0
     """
 
     def __init__(
@@ -89,11 +90,10 @@ class Trace:
     ):
         self.source_ids = tuple(source_ids)
         self.depression_strength = depression_strength
-        n = len(self.source_ids)
-        self.distrust = np.zeros((steps, n), dtype=np.int32)
-        self.depression_applied = np.zeros(steps, dtype=bool)
-        self.is_corrupt = np.zeros((steps, n), dtype=bool)
-        self.is_corrupt[:flip_step] = [s in corrupt_source_ids for s in self.source_ids]
+        self.distrust = np.zeros((steps, len(self.source_ids)), dtype=np.int32)
+        self.corrupt = np.isin(self.source_ids, list(corrupt_source_ids))
+        self.clean_from = steps if flip_step is None else flip_step
+        self.depressed_from = steps
 
     def scales(self) -> np.ndarray:
         """The gradient scale of each distrust level while depression
@@ -117,7 +117,7 @@ class Trace:
     def gradient_scales(self) -> np.ndarray:
         """(steps, n_sources) gradient scale of every source at every step."""
         out = self.scales()[self.distrust]
-        out[~self.depression_applied] = 1.0
+        out[: self.depressed_from] = 1.0
         return out
 
 
@@ -253,8 +253,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         prep.plan.corrupt_source_ids,
         config.sources.reliability_flip_step,
     )
-    # the trace's flags are the corruption schedule the batches follow
-    corrupt_at = trace.is_corrupt
+    # the trace's schedules are the ones the batches follow
+    corrupt = trace.corrupt.tolist()
     batch_size = config.training.batch_size
 
     records: list[MetricsRecord] = []
@@ -270,7 +270,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                 if not len(idx):
                     continue
                 x, y = train.x[idx], train.y[idx]
-                if corrupt_at[step, col]:
+                if corrupt[col] and step < trace.clean_from:
                     x, y = apply_corruption(
                         x, y, config.sources, train.n_classes, corrupt_rng
                     )
@@ -283,7 +283,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                     ) from exc
                 optimizer.step(params, grads, loss, prep.source_ids[col])
                 trace.distrust[step] = registry.distrust_levels
-                trace.depression_applied[step] = optimizer.depression_applied
+                if step < trace.depressed_from and optimizer.depression_applied:
+                    trace.depressed_from = step
                 step += 1
 
         for split_name, split_data in (("train", train), ("val", val), ("test", test)):
@@ -331,7 +332,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     table = trace.scales()
     n = len(table)
     # each line after "step,source_id," is one of four texts per distrust
-    # level, picked by the step's depression flag and the corrupt flag; a
+    # level, picked by whether the step is depressed and the cell corrupt; a
     # level is written with :g, never str(), so that 10**6 reads 1e+06
     tails = np.array([
         f"{v:g},{s:.10g},{corrupt}\r\n"
@@ -347,10 +348,11 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.write(",".join(TRACE_CSV_COLUMNS) + "\r\n")
         for start in range(0, steps, TRACE_BLOCK):
             stop = min(start + TRACE_BLOCK, steps)
+            at = np.arange(start, stop)[:, None]
             codes = trace.distrust[start:stop].astype(np.intp)
             codes += n * (
-                2 * trace.depression_applied[start:stop, None]
-                + trace.is_corrupt[start:stop]
+                2 * (at >= trace.depressed_from)
+                + (trace.corrupt & (at < trace.clean_from))
             )
             block = cells[: stop - start]
             steps_text = np.array([str(i) for i in range(start, stop)], dtype=object)

@@ -83,8 +83,6 @@ class Adam:
 
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g²;  t += 1
     p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-
-    ``_m`` and ``_v`` are per-parameter views of the moment vectors.
     """
 
     def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9,
@@ -102,8 +100,6 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
         self._flat_m: np.ndarray | None = None
         self._flat_v: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
@@ -111,11 +107,8 @@ class Adam:
     def step(self, params: ParameterSet, grads: GradientSet) -> None:
         check_congruent(params, grads)
         p, g = params.flat, grads.flat
-        if self._m is None:
-            m = params.with_flat(np.zeros_like(p))
-            v = params.with_flat(np.zeros_like(p))
-            self._m, self._v = m.arrays, v.arrays
-            self._flat_m, self._flat_v = m.flat, v.flat
+        if self._flat_m is None:
+            self._flat_m, self._flat_v = np.zeros_like(p), np.zeros_like(p)
             self._scratch = np.empty((2, min(p.size, CHUNK)))
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps

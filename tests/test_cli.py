@@ -209,7 +209,7 @@ class TestInspectCommand:
             trace.source_ids,
             trace.distrust[-3:].mean(axis=0),
             trace.gradient_scales()[-3:].mean(axis=0),
-            trace.is_corrupt[-1],
+            trace.corrupt & (steps - 1 < trace.clean_from),
         )
         assert lines[1:] == [
             f"source {s}: distrust {d:.1f} scale {g:.4f}" + (" corrupt" if c else "")

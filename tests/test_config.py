@@ -117,6 +117,27 @@ class TestValidation:
             config_from_dict({"optimizer": optimizer})
 
     @pytest.mark.parametrize(
+        "kind, key, value",
+        [("adam", "momentum", 0.9), ("adam", "weight_decay", 0.01),
+         ("sgd", "beta1", 0.1), ("sgd", "beta2", 0.5), ("sgd", "eps", 1e-6)],
+    )
+    def test_optimizer_refuses_keys_its_kind_never_reads(self, kind, key, value):
+        reader = "sgd" if kind == "adam" else "adam"
+        match = f"optimizer.{key}: only kind {reader} reads it, so kind {kind}"
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"optimizer": {"kind": kind, key: value}})
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_optimizer_loads_every_key_at_its_default(self, kind, tmp_path):
+        # config.json records every key, the other kind's at their defaults
+        defaults = {"momentum": 0, "weight_decay": 0.0, "beta1": 0.9,
+                    "beta2": 0.999, "eps": 1e-8}
+        config = config_from_dict({"optimizer": {"kind": kind, **defaults}})
+        path = tmp_path / "config.json"
+        serialize_config(config, path)
+        assert load_config(path) == config
+
+    @pytest.mark.parametrize(
         "raw, message",
         [
             ({"seeds": ["a"]}, re.escape("seeds[0]: expected int, got 'a'")),
@@ -308,6 +329,17 @@ class TestBuilders:
         assert type(sgd).__name__ == "SGD"
         assert type(adam).__name__ == "Adam"
         assert adam.learning_rate == 0.001
+
+    def test_optimizer_builders_pass_their_kind_keys(self):
+        sgd = config_from_dict({"optimizer": {
+            "kind": "sgd", "learning_rate": 0.1, "momentum": 0.5,
+            "weight_decay": 0.01,
+        }}).optimizer.build()
+        assert (sgd.learning_rate, sgd.momentum, sgd.weight_decay) == (0.1, 0.5, 0.01)
+        adam = config_from_dict(
+            {"optimizer": {"beta1": 0.8, "beta2": 0.99, "eps": 1e-6}}
+        ).optimizer.build()
+        assert (adam.beta1, adam.beta2, adam.eps) == (0.8, 0.99, 1e-6)
 
     def test_lap_params_builder(self):
         params = config_from_dict({"lap": {"history_length": 7}}).lap

@@ -75,13 +75,15 @@ class TestRunSingle:
         steps = total_steps(config)
         trace = result.trace
         assert trace.source_ids == (0, 1, 2, 3, 4)
-        assert trace.distrust.shape == trace.is_corrupt.shape == (steps, 5)
-        assert trace.depression_applied.shape == (steps,)
+        assert trace.distrust.shape == (steps, 5)
+        assert trace.corrupt.shape == (5,)
+        assert trace.clean_from == steps
+        assert 0 <= trace.depressed_from <= steps
         scales = trace.gradient_scales()
         assert ((scales > 0.0) & (scales <= 1.0)).all()
         assert (trace.distrust >= 0.0).all()
         corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
-        assert (trace.is_corrupt == corrupt).all()
+        assert trace.corrupt.tolist() == corrupt
 
     def test_round_robin_fairness(self):
         # without upsampling each source trains on exactly its own items, so
@@ -189,13 +191,70 @@ class TestFlipAndFlags:
         )
         result = run_single(config, 0)
         trace = result.trace
-        before_flip = np.arange(len(trace.is_corrupt)) < 10
+        steps = np.arange(len(trace.distrust))
+        is_corrupt = trace.corrupt & (steps[:, None] < trace.clean_from)
+        before_flip = steps < 10
         for column, source in enumerate(trace.source_ids):
             expected = before_flip & (source in result.corrupt_source_ids)
-            np.testing.assert_array_equal(trace.is_corrupt[:, column], expected)
+            np.testing.assert_array_equal(is_corrupt[:, column], expected)
         corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
-        assert (trace.is_corrupt[:10] == corrupt).all()
-        assert not trace.is_corrupt[10:].any()
+        assert trace.corrupt.tolist() == corrupt
+        assert trace.clean_from == 10
+        assert (is_corrupt[:10] == corrupt).all()
+        assert not is_corrupt[10:].any()
+
+    @pytest.mark.parametrize("flip", [0, 10, 10**6], ids=["at_0", "at_10", "beyond"])
+    @pytest.mark.parametrize(
+        "lap",
+        [{"hold_off": 0}, {"hold_off": 20}, {"enabled": False}],
+        ids=["hold_off_0", "hold_off_20", "lap_off"],
+    )
+    def test_schedule_thresholds_are_the_steps_that_switch(
+        self, lap, flip, monkeypatch
+    ):
+        # what the optimizer reports after each step, and the steps whose
+        # batch is corrupted, recorded beside the run
+        applied, sources, corrupted = [], [], []
+        optimizer_step = optim.LapOptimizer.step
+        corrupt_batch = experiment.apply_corruption
+
+        def recording_step(optimizer, params, grads, loss, source):
+            scale = optimizer_step(optimizer, params, grads, loss, source)
+            applied.append(optimizer.depression_applied)
+            sources.append(source)
+            return scale
+
+        def recording_corruption(*args):
+            corrupted.append(len(applied))
+            return corrupt_batch(*args)
+
+        monkeypatch.setattr(optim.LapOptimizer, "step", recording_step)
+        monkeypatch.setattr(experiment, "apply_corruption", recording_corruption)
+        config = small_config(
+            lap=lap,
+            sources={"n_corrupt": 3, "reliability_flip_step": flip},
+        )
+        result = run_single(config, 0)
+        trace = result.trace
+        steps = len(trace.distrust)
+        assert len(applied) == steps
+
+        np.testing.assert_array_equal(
+            applied, np.arange(steps) >= trace.depressed_from
+        )
+        if lap.get("enabled", True):
+            # depression switches on inside the run, so the test sees both sides
+            assert 0 < trace.depressed_from < steps
+        else:
+            assert trace.depressed_from == steps
+
+        assert trace.clean_from == flip
+        is_corrupt = [s in result.corrupt_source_ids for s in sources]
+        assert corrupted == [
+            i for i, c in enumerate(is_corrupt) if c and i < trace.clean_from
+        ]
+        # the steps on both sides of the flip at 10 belong to corrupt sources
+        assert is_corrupt[9] and is_corrupt[10]
 
     def test_flip_lets_distrust_recover(self):
         config = small_config(
@@ -273,9 +332,8 @@ class TestTrace:
 
     def test_scales_are_one_until_depression_applies(self):
         trace = run_single(small_config(lap={"hold_off": 20}), 0).trace
-        applied = trace.depression_applied
-        first = int(np.argmax(applied))
-        assert first > 0 and applied[first:].all()
+        first = trace.depressed_from
+        assert 0 < first < len(trace.distrust)
         scales = trace.gradient_scales()
         # distrust walks during warm-up and hold-off; the scales stay 1.0
         assert (trace.distrust[:first] > 0.0).any()
@@ -284,14 +342,14 @@ class TestTrace:
 
         off = run_single(small_config(lap={"enabled": False}), 0).trace
         assert (off.distrust > 0.0).any()
-        assert not off.depression_applied.any()
+        assert off.depressed_from == len(off.distrust)
         assert (off.gradient_scales() == 1.0).all()
 
     def test_gradient_scales_allocates_only_its_result(self):
         trace = Trace(range(40), 20_000, 4.0, frozenset(), None)
         rng = np.random.default_rng(0)
         trace.distrust[:] = rng.integers(0, 200, size=trace.distrust.shape)
-        trace.depression_applied[1000:] = True
+        trace.depressed_from = 1000
         trace.gradient_scales()  # the first call's one-off imports and caches
         tracemalloc.start()
         try:
@@ -599,13 +657,11 @@ def csv_writer_rendering(trace):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(TRACE_CSV_COLUMNS)
-    rows = zip(
-        trace.distrust.tolist(),
-        trace.depression_applied.tolist(),
-        trace.is_corrupt.tolist(),
-    )
-    for step, (distrust, applied, corrupt) in enumerate(rows):
-        for source, d, c in zip(trace.source_ids, distrust, corrupt):
+    corrupt = trace.corrupt.tolist()
+    for step, distrust in enumerate(trace.distrust.tolist()):
+        for source, d, flag in zip(trace.source_ids, distrust, corrupt):
+            applied = step >= trace.depressed_from
+            c = flag and step < trace.clean_from
             scale = 1.0 - depression_value(d, trace.depression_strength)
             writer.writerow([
                 step,
@@ -627,7 +683,7 @@ def hand_built_trace(steps, lap, flip_step, seed=0):
         trace.distrust[rng.integers(steps), rng.integers(4)] = steps
     if lap:
         # off during a hold-off, then on
-        trace.depression_applied[steps // 3:] = True
+        trace.depressed_from = steps // 3
     return trace
 
 
@@ -650,10 +706,12 @@ class TestTraceWriter:
         trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
         strength = trace.depression_strength
         expected = [
-            [1.0 - depression_value(d, strength) if applied else 1.0 for d in row]
-            for row, applied in zip(
-                trace.distrust.tolist(), trace.depression_applied.tolist()
-            )
+            [
+                1.0 - depression_value(d, strength)
+                if step >= trace.depressed_from else 1.0
+                for d in row
+            ]
+            for step, row in enumerate(trace.distrust.tolist())
         ]
         assert trace.gradient_scales().tolist() == expected
 
@@ -675,7 +733,7 @@ class TestTraceWriter:
             trace = Trace(range(40), steps, 4.0, frozenset(range(12)), None)
             rng = np.random.default_rng(steps)
             trace.distrust[:] = rng.integers(0, 200, size=trace.distrust.shape)
-            trace.depression_applied[steps // 10:] = True
+            trace.depressed_from = steps // 10
             tracemalloc.start()
             try:
                 write_trace_csv(trace, os.devnull)
