@@ -24,12 +24,20 @@ from .experiment import sweep, write_sweep_csv
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
 from .walkers import expected_increment_probability
 
+# `run` flags each source whose final gradient scale is below this
+FLAG_BELOW = 0.5
+
 
 def _add_run_parser(sub):
     p = sub.add_parser(
         "run",
         help="train per the config file and write metrics/trace files",
-        description="Run the configured experiment for every seed.",
+        description=(
+            "Run the configured experiment for every seed. Each seed's line "
+            "gives the final accuracies, the corrupt sources' final and lowest "
+            "gradient scales, and the sources flagged: final scale below "
+            f"{FLAG_BELOW}."
+        ),
         epilog="config file keys:\n" + CONFIG_KEY_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -104,6 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join(scales) -> str:
+    return " ".join(f"{v:.3f}" for v in scales)
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -117,12 +129,16 @@ def _cmd_run(args) -> int:
                 parts.append(f"{split} {run.final_accuracy(split):.4f}")
             except KeyError:
                 pass
-        corrupt = sorted(run.corrupt_source_ids)
-        if corrupt:
-            scales = " ".join(
-                f"{run.final_scales[s]:.3f}" for s in corrupt
-            )
-            parts.append(f"corrupt={corrupt} scales=[{scales}]")
+        trace = run.trace
+        scales = trace.gradient_scales()
+        final, lowest = scales[-1], scales.min(axis=0)
+        corrupt = trace.corrupt
+        if corrupt.any():
+            ids = [s for s, bad in zip(trace.source_ids, corrupt) if bad]
+            parts.append(f"corrupt={ids} scales=[{_join(final[corrupt])}] "
+                         f"lowest=[{_join(lowest[corrupt])}]")
+        flagged = [s for s, v in zip(trace.source_ids, final) if v < FLAG_BELOW]
+        parts.append(f"flagged={flagged}")
         print(" ".join(parts))
     out = args.out or config.output_dir
     if out:

@@ -33,9 +33,13 @@ from .models import ModelSpec
 from .optim import SGD, Adam
 from .trust import LapParams
 
-DATASET_KINDS = ("blobs", "idx_files", "csv")
-# the dataset keys that only kind blobs reads
-_BLOB_KEYS = (*(f.name for f in fields(BlobSpec)), "n_test_per_class")
+# each dataset kind and the keys that only it reads
+_DATASET_KEYS = {
+    "blobs": (*(f.name for f in fields(BlobSpec)), "n_test_per_class"),
+    "idx_files": ("train_images", "train_labels", "test_images", "test_labels"),
+    "csv": ("path", "test_path"),
+}
+DATASET_KINDS = tuple(_DATASET_KEYS)
 # each optimizer kind and the keys that only it reads
 _OPTIMIZER_KEYS = {
     "sgd": ("momentum", "weight_decay"), "adam": ("beta1", "beta2", "eps")
@@ -60,9 +64,10 @@ def _refuse_unread(section: str, config, readers: dict) -> None:
 class DatasetConfig(BlobSpec):
     """The ``dataset`` section: the blob spec plus the source of the data.
 
-    Only ``blobs`` reads the blob keys. Another kind accepts them at their
-    defaults, which is how ``config.json`` records them, and refuses any
-    other value, which would be silently ignored.
+    Each kind reads its own keys: the blob keys, the IDX file paths or the
+    CSV paths. Another kind accepts them at their defaults, which is how
+    ``config.json`` records them, and refuses any other value, which would
+    be silently ignored.
     """
 
     kind: str = "blobs"
@@ -98,7 +103,7 @@ class DatasetConfig(BlobSpec):
             raise ConfigError(
                 f"dataset.n_test_per_class must be >= 1, got {self.n_test_per_class}"
             )
-        _refuse_unread("dataset", self, {"blobs": _BLOB_KEYS})
+        _refuse_unread("dataset", self, _DATASET_KEYS)
 
     def test_blob_spec(self) -> BlobSpec:
         per_class = self.n_test_per_class or max(1, self.n_per_class // 4)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conftest
@@ -124,6 +125,47 @@ class TestRunCommand:
         line = capsys.readouterr().out.splitlines()[0]
         shown = re.findall(r"(train|val|test) \d\.\d{4}", line)
         assert shown == splits.split()
+
+    def test_excluded_corrupt_sources_have_no_scales(self, tmp_path, capsys):
+        # the excluded sources are corrupt but have no trace column
+        config = write_config(tmp_path, sources={
+            "n_corrupt": 2, "exclude_corrupt_from_training": True})
+        assert main(["run", "--config", str(config)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert "corrupt=" not in line
+        assert re.search(r" flagged=\[[\d, ]*\]$", line)
+
+    def test_line_reports_the_trace(self, tmp_path, capsys):
+        # strong depression flags sources inside the short run, and the
+        # flip lets a corrupt source's lowest scale differ from its last
+        config = write_config(
+            tmp_path,
+            lap={"depression_strength": 50},
+            sources={"n_corrupt": 2, "reliability_flip_step": 60},
+            training={"epochs": 6},
+            seeds=[1, 2],
+        )
+        runs = run_experiment(load_config(config))
+        assert main(["run", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(runs)
+        flagged_any = recovered_any = False
+        for run, line in zip(runs, lines):
+            trace = run.trace
+            scales = trace.gradient_scales()
+            final, lowest = scales[-1], scales.min(axis=0)
+            ids = np.array(trace.source_ids)
+            corrupt = trace.corrupt
+            flagged = ids[final < 0.5].tolist()
+            assert line.endswith(
+                f" corrupt={ids[corrupt].tolist()}"
+                f" scales=[{' '.join(f'{v:.3f}' for v in final[corrupt])}]"
+                f" lowest=[{' '.join(f'{v:.3f}' for v in lowest[corrupt])}]"
+                f" flagged={flagged}"
+            )
+            flagged_any |= bool(flagged)
+            recovered_any |= bool((lowest[corrupt] < final[corrupt] - 0.5).any())
+        assert flagged_any and recovered_any
 
     def test_config_error_is_reported_not_raised(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

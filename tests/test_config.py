@@ -1,5 +1,7 @@
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,11 @@ from lossadapt.config import (
 from lossadapt.corruption import CorruptionSpec
 from lossadapt.datasets import BlobSpec, make_blobs
 from lossadapt.errors import ConfigError
+from lossadapt.experiment import total_steps
 from lossadapt.trust import LapParams
+from test_acceptance import SEEDS, _identification_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload):
@@ -268,6 +274,25 @@ class TestValidation:
         serialize_config(config, path)
         assert load_config(path) == config
 
+    @pytest.mark.parametrize(
+        "raw, key, reader",
+        [
+            ({"kind": "blobs", "path": "nope.csv"}, "path", "csv"),
+            ({"kind": "blobs", "test_images": "x", "test_labels": "y"},
+             "test_images", "idx_files"),
+            ({**FILE_KINDS["idx_files"], "path": "c.csv"}, "path", "csv"),
+            ({**FILE_KINDS["idx_files"], "test_path": "t.csv"}, "test_path", "csv"),
+            ({**FILE_KINDS["csv"], "train_images": "a"}, "train_images", "idx_files"),
+            ({**FILE_KINDS["csv"], "test_labels": "b"}, "test_labels", "idx_files"),
+        ],
+        ids=["blobs_path", "blobs_test_images", "idx_files_path",
+             "idx_files_test_path", "csv_train_images", "csv_test_labels"],
+    )
+    def test_kinds_refuse_each_others_paths(self, raw, key, reader):
+        match = f"dataset.{key}: only kind {reader} reads it, so kind {raw['kind']}"
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"dataset": raw})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -407,3 +432,31 @@ class TestKeyDoc:
             assert section in raw, section
             if key:
                 assert key in raw[section], f"{section}.{key}"
+
+
+class TestCommittedConfigs:
+    """``configs/*.json`` run the configs the acceptance criteria judge, over
+    the criteria's seeds, each into its own output directory."""
+
+    @staticmethod
+    def load(name, judged):
+        config = load_config(CONFIGS / f"{name}.json")
+        assert config.seeds == SEEDS
+        assert config.output_dir == f"out/{name}"
+        return config.replace(seeds=judged.seeds, output_dir=judged.output_dir)
+
+    def test_identification_is_criteria_4_and_5(self):
+        judged = _identification_config()
+        assert self.load("identification", judged) == judged
+
+    def test_recovery_is_criterion_7(self):
+        base = _identification_config()
+        judged = base.replace(
+            dataset=replace(base.dataset, spread=2.5),
+            lap=replace(base.lap, leniency=1.3, history_length=10),
+        )
+        flip = total_steps(judged) // 2
+        judged = judged.replace(
+            sources=replace(judged.sources, reliability_flip_step=flip)
+        )
+        assert self.load("recovery", judged) == judged
