@@ -196,29 +196,32 @@ def _cmd_inspect_trace(args) -> int:
     if not path.exists():
         print(f"error: no such trace file: {path}", file=sys.stderr)
         return 2
-    # two streamed passes: the first finds the last step, the second sums
-    # each source's rows from the cutoff on, in file order
-    last_step = None
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if set(reader.fieldnames or ()) == set(TRACE_CSV_COLUMNS):
-            last_step = max((int(r["step"]) for r in reader), default=None)
-    if last_step is None:
-        print(f"error: {path} is not a trace CSV", file=sys.stderr)
-        return 2
-    cutoff = last_step - max(args.last, 1) + 1
+    window = max(args.last, 1)
     # source -> [rows, distrust sum, scale sum, last is_corrupt]
     per_source: dict[int, list] = {}
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            if int(r["step"]) >= cutoff:
-                sums = per_source.setdefault(int(r["source_id"]), [0, 0, 0, ""])
-                sums[0] += 1
-                sums[1] += float(r["distrust"])
-                sums[2] += float(r["gradient_scale"])
-                sums[3] = r["is_corrupt"]
+    # two streamed passes: the first finds the last step, the second sums
+    # each source's rows from the cutoff on, in file order. A directory, other
+    # columns, no rows or a cell that does not parse is no trace CSV.
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if set(reader.fieldnames or ()) != set(TRACE_CSV_COLUMNS):
+                raise ValueError("not the trace columns")
+            last_step = max(int(r["step"]) for r in reader)
+        cutoff = last_step - window + 1
+        with open(path, newline="") as fh:
+            for r in csv.DictReader(fh):
+                if int(r["step"]) >= cutoff:
+                    sums = per_source.setdefault(int(r["source_id"]), [0, 0, 0, ""])
+                    sums[0] += 1
+                    sums[1] += float(r["distrust"])
+                    sums[2] += float(r["gradient_scale"])
+                    sums[3] = r["is_corrupt"]
+    except (IsADirectoryError, ValueError):
+        print(f"error: {path} is not a trace CSV", file=sys.stderr)
+        return 2
     print(f"steps 0..{last_step}, {len(per_source)} sources, "
-          f"averaging last {last_step - cutoff + 1} step(s)")
+          f"averaging last {window} step(s)")
     for source in sorted(per_source):
         n, distrust, scale, corrupt = per_source[source]
         tag = " corrupt" if corrupt == "1" else ""
@@ -237,7 +240,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except LossAdaptError as exc:
+    except (LossAdaptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

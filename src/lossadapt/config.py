@@ -305,7 +305,7 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     return config_from_dict(raw)
 
@@ -331,7 +331,7 @@ dataset.test_labels             idx_files: path to test label file (optional)
 dataset.path                    csv: path to training csv (label = last column)
 dataset.test_path               csv: path to test csv (optional)
 model.layer_widths              layer sizes, features first, classes last;
-                                two widths is logistic regression
+                                two widths is logistic regression (784 256 128 10)
 model.activation                relu | tanh (relu)
 optimizer.kind                  sgd | adam (adam)
 optimizer.learning_rate         step size (0.001)

@@ -183,6 +183,12 @@ def _parse_idx(raw: bytes, path, magic: int, rank: int) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
+def _class_count(y: np.ndarray) -> int:
+    """The class count a label file implies: one past its largest label, and
+    never below 2, so a file holding one label (or none) still loads."""
+    return max(int(y.max()) + 1, 2) if len(y) else 2
+
+
 def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     """Read an IDX image tensor and label vector pair.
 
@@ -202,7 +208,7 @@ def load_idx(images_path, labels_path, n_classes: int | None = None) -> Dataset:
     x /= 255.0
     y = labels.astype(np.int64)
     if n_classes is None:
-        n_classes = int(y.max()) + 1 if n else 2
+        n_classes = _class_count(y)
     return Dataset(x, y, n_classes)
 
 
@@ -212,7 +218,8 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
 
     Each cell is parsed with ``float()`` straight into one float64 array, so
     no row is held as Python objects, and the features are copied out of it
-    so that the label column is freed."""
+    so that the label column is freed. Bytes that do not decode read as
+    U+FFFD, so a row holding them is a bad row, not a decode traceback."""
 
     def numeric(row):
         try:
@@ -220,7 +227,7 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
         except ValueError:
             return None
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:
         rows = (row for row in csv.reader(fh) if row)
         first = next(rows, None)
         if first is None:
@@ -248,8 +255,8 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
     if y.min() < 0:
         raise FormatError(f"{path}: negative label {y.min()}")
     if n_classes is None:
-        n_classes = int(y.max()) + 1
-    return Dataset(np.ascontiguousarray(data[:, :-1]), y, max(n_classes, 2))
+        n_classes = _class_count(y)
+    return Dataset(np.ascontiguousarray(data[:, :-1]), y, n_classes)
 
 
 def split_train_val(

@@ -364,12 +364,15 @@ def write_trace_csv(trace: Trace, path) -> None:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunResult]:
     """Run every seed in the config, in order; optionally persist metrics,
     per-seed traces, and the resolved config under ``out_dir``."""
-    runs = [run_single(config, seed) for seed in config.seeds]
-
     target = out_dir if out_dir is not None else config.output_dir
     if target is not None:
+        # made before the first seed runs, so a path that cannot be a
+        # directory fails before any training, not after all of it
         target = Path(target)
         target.mkdir(parents=True, exist_ok=True)
+    runs = [run_single(config, seed) for seed in config.seeds]
+
+    if target is not None:
         serialize_config(config, target / "config.json")
         all_records = [r for run in runs for r in run.records]
         write_metrics_csv(all_records, target / "metrics.csv")

@@ -14,7 +14,7 @@ import conftest
 import lossadapt
 from lossadapt.cli import build_parser, main
 from lossadapt.config import load_config
-from lossadapt.experiment import run_experiment
+from lossadapt.experiment import TRACE_CSV_COLUMNS, run_experiment
 from lossadapt.walkers import WalkerConfig, expected_increment_probability
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +173,68 @@ class TestRunCommand:
         code = main(["run", "--config", str(p)])
         assert code == 1
         assert "n_corrupt" in capsys.readouterr().err
+
+
+def _run_args(tmp_path, **overrides):
+    return ["run", "--config", str(write_config(tmp_path, **overrides))]
+
+
+def _file_dataset_args(tmp_path, kind, key, target):
+    dataset = conftest.file_dataset_sections(tmp_path)[kind]
+    dataset[key] = str(target)
+    return _run_args(tmp_path, dataset=dataset,
+                     model={"layer_widths": [4, 8, 3]})
+
+
+def _written(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def _unparsable_trace(tmp_path):
+    p = tmp_path / "trace.csv"
+    with open(p, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, TRACE_CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerow({**dict.fromkeys(TRACE_CSV_COLUMNS, "0"), "step": "x"})
+    return ["inspect-trace", str(p)]
+
+
+@pytest.mark.parametrize("make_args, code, message", [
+    pytest.param(lambda tmp: ["run", "--config", str(tmp)], 1,
+                 "Is a directory", id="config-is-a-directory"),
+    pytest.param(lambda tmp: ["run", "--config",
+                              str(_written(tmp / "config.json", b"\xff\xfe{"))],
+                 1, "config.json: not valid JSON", id="config-is-not-text"),
+    pytest.param(lambda tmp: _file_dataset_args(tmp, "csv", "path",
+                                                tmp / "none.csv"),
+                 1, "No such file", id="csv-path-missing"),
+    pytest.param(lambda tmp: _file_dataset_args(tmp, "csv", "path", tmp), 1,
+                 "Is a directory", id="csv-path-is-a-directory"),
+    pytest.param(lambda tmp: _file_dataset_args(tmp, "csv", "path", _written(
+                     tmp / "binary.csv", b"1,2,3,4,0\n\xff\xfe,2,3,4,1\n")),
+                 1, "binary.csv: bad row 2", id="csv-path-is-not-text"),
+    pytest.param(lambda tmp: _file_dataset_args(tmp, "idx_files",
+                                                "train_images", tmp / "none"),
+                 1, "No such file", id="idx-images-missing"),
+    pytest.param(lambda tmp: _file_dataset_args(tmp, "idx_files",
+                                                "train_images", tmp),
+                 1, "Is a directory", id="idx-images-is-a-directory"),
+    pytest.param(lambda tmp: _run_args(tmp) + [
+                     "--out", str(_written(tmp / "taken", b""))],
+                 1, "File exists", id="out-is-a-file"),
+    pytest.param(lambda tmp: ["inspect-trace", str(tmp)], 2,
+                 "is not a trace CSV", id="trace-is-a-directory"),
+    pytest.param(_unparsable_trace, 2, "is not a trace CSV",
+                 id="trace-step-does-not-parse"),
+])
+def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
+                                          capsys):
+    assert main(make_args(tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 class TestSweepCommand:

@@ -460,3 +460,11 @@ class TestCommittedConfigs:
             sources=replace(judged.sources, reliability_flip_step=flip)
         )
         assert self.load("recovery", judged) == judged
+
+    def test_clean_only_is_criterion_5s_third_arm(self):
+        base = _identification_config()
+        judged = base.replace(
+            lap=replace(base.lap, enabled=False),
+            sources=replace(base.sources, exclude_corrupt_from_training=True),
+        )
+        assert self.load("clean_only", judged) == judged

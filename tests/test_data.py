@@ -239,6 +239,10 @@ class TestIdx:
         assert loaded < bound
         assert split < bound
 
+    def test_one_label_gives_two_classes(self, idx_pair):
+        ip, lp = idx_pair(np.zeros((2, 2, 2), dtype=np.uint8), [0, 0])
+        assert load_idx(ip, lp).n_classes == 2
+
     def test_count_mismatch(self, tmp_path):
         ip = tmp_path / "images.idx"
         lp = tmp_path / "labels.idx"
@@ -256,6 +260,11 @@ class TestCsv:
         np.testing.assert_allclose(ds.x, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(ds.y, [0, 1])
         assert ds.n_classes == 2
+
+    def test_one_label_gives_two_classes(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("1.0,2.0,0\n3.0,4.0,0\n")
+        assert load_csv_dataset(p).n_classes == 2
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "data.csv"

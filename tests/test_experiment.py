@@ -425,6 +425,18 @@ class TestPersistence:
         for row in rows[1:4]:
             assert row[4] in ("0", "1")
 
+    def test_output_dir_is_made_before_the_first_seed(self, tmp_path,
+                                                      monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def train(config, seed):
+            raise AssertionError("trained before the output dir was made")
+
+        monkeypatch.setattr(experiment, "run_single", train)
+        with pytest.raises(FileExistsError):
+            run_experiment(small_config(), out_dir=taken)
+
     def test_config_sidecar_round_trips(self, tmp_path):
         config = small_config()
         run_experiment(config, out_dir=tmp_path)
