@@ -1,10 +1,12 @@
 """Command-line front end.
 
-    lossadapt run          --config c.json [--seed N] [--out DIR] [--lap on|off]
+    lossadapt run          --config c.json
     lossadapt sweep        --config c.json [--out DIR] [--leniency ...] ...
     lossadapt walkers      [--shift ...] [--leniency ...] [--out DIR] ...
     lossadapt inspect-trace TRACE.csv [--last N]
 
+`run` runs its config as written: the seeds, the LAP switch and the output
+directory are the config's `seeds`, `lap.enabled` and `output_dir`.
 `run --help` lists every config file key.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -33,7 +34,8 @@ def _add_run_parser(sub):
         "run",
         help="train per the config file and write metrics/trace files",
         description=(
-            "Run the configured experiment for every seed. Each seed's line "
+            "Run the configured experiment for every seed in `seeds`, writing "
+            "its files into `output_dir` when that is set. Each seed's line "
             "gives the final accuracies, the corrupt sources' final and lowest "
             "gradient scales, and the sources flagged: final scale below "
             f"{FLAG_BELOW}."
@@ -43,12 +45,6 @@ def _add_run_parser(sub):
     )
     p.add_argument("--config", required=True, metavar="PATH",
                    help="JSON experiment config")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="run only this seed (overrides the config's list)")
-    p.add_argument("--out", metavar="DIR",
-                   help="output directory (overrides config output_dir)")
-    p.add_argument("--lap", choices=("on", "off"),
-                   help="force gradient depression on or off")
     return p
 
 
@@ -118,11 +114,7 @@ def _join(scales) -> str:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = config.replace(seeds=(args.seed,))
-    if args.lap is not None:
-        config = config.replace(lap=replace(config.lap, enabled=args.lap == "on"))
-    for run in run_experiment(config, out_dir=args.out):
+    for run in run_experiment(config):
         parts = [f"seed {run.seed}:"]
         for split in ("train", "val", "test"):
             try:
@@ -140,9 +132,8 @@ def _cmd_run(args) -> int:
         flagged = [s for s, v in zip(trace.source_ids, final) if v < FLAG_BELOW]
         parts.append(f"flagged={flagged}")
         print(" ".join(parts))
-    out = args.out or config.output_dir
-    if out:
-        print(f"wrote {Path(out) / 'metrics.csv'}")
+    if config.output_dir:
+        print(f"wrote {Path(config.output_dir) / 'metrics.csv'}")
     return 0
 
 
@@ -152,8 +143,8 @@ def _cmd_sweep(args) -> int:
     rows = sweep(config, grid)
     for row in rows:
         print(
-            f"leniency={row.leniency:g} strength={row.depression_strength:g} "
-            f"h={row.history_length} rate={row.corruption_rate:g} "
+            f"leniency={row.leniency:.10g} strength={row.depression_strength:.10g} "
+            f"h={row.history_length} rate={row.corruption_rate:.10g} "
             f"acc={row.mean_accuracy:.4f}±{row.std_accuracy:.4f}"
         )
     if args.out:

@@ -220,6 +220,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a nonempty list")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -358,5 +360,6 @@ training.epochs                 passes over the per-source batches (30)
 training.batch_size             items per batch, one source per batch (6)
 training.train_val_ratio        train:val split (3:1)
 seeds                           list of run seeds ([0])
-output_dir                      where metrics/trace/config files land (null)
+output_dir                      where run writes metrics/trace/config files
+                                (null: run writes no files)
 """

@@ -454,10 +454,10 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
         for r in rows:
             writer.writerow(
                 [
-                    f"{r.leniency:g}",
-                    f"{r.depression_strength:g}",
+                    f"{r.leniency:.10g}",
+                    f"{r.depression_strength:.10g}",
                     r.history_length,
-                    f"{r.corruption_rate:g}",
+                    f"{r.corruption_rate:.10g}",
                     r.n_seeds,
                     f"{r.mean_accuracy:.10g}",
                     f"{r.std_accuracy:.10g}",

@@ -55,10 +55,14 @@ class WalkerConfig:
             raise ConfigError("leniencies grid must be nonempty")
         if any(math.isnan(v) for v in self.leniencies):
             raise ConfigError(f"leniencies contain NaN: {self.leniencies}")
+        if not math.isfinite(self.mean_shift):
+            raise ConfigError(f"mean_shift must be finite, got {self.mean_shift}")
         if not self.depression_strength > 0:
             raise ConfigError(
                 f"depression_strength must be > 0, got {self.depression_strength}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

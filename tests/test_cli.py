@@ -75,42 +75,47 @@ class TestParser:
         ):
             assert key in text
 
-    def test_lap_flag_restricted(self):
+    @pytest.mark.parametrize("flag", ["--seed", "--lap", "--out"])
+    def test_run_takes_no_override_of_a_config_key(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--config", "c", "--lap", "maybe"])
+            build_parser().parse_args(["run", "--config", "c", flag, "0"])
 
 
 class TestRunCommand:
     def test_run_writes_outputs(self, tmp_path, capsys):
-        config = write_config(tmp_path)
         out = tmp_path / "out"
-        code = main(["run", "--config", str(config), "--out", str(out)])
+        config = write_config(tmp_path, output_dir=str(out))
+        code = main(["run", "--config", str(config)])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "seed 0:" in stdout
+        assert stdout.splitlines()[-1] == f"wrote {out / 'metrics.csv'}"
         assert (out / "metrics.csv").exists()
         assert (out / "trace_seed0.csv").exists()
         assert (out / "config.json").exists()
 
-    def test_seed_override(self, tmp_path, capsys):
-        config = write_config(tmp_path, seeds=[0, 1, 2])
-        out = tmp_path / "out"
-        code = main(["run", "--config", str(config), "--seed", "7",
-                     "--out", str(out)])
-        assert code == 0
-        assert "seed 7:" in capsys.readouterr().out
-        assert (out / "trace_seed7.csv").exists()
-        assert not (out / "trace_seed0.csv").exists()
-
     def test_lap_off_override(self, tmp_path, capsys):
-        config = write_config(tmp_path)
         out = tmp_path / "out"
-        code = main(["run", "--config", str(config), "--lap", "off",
-                     "--out", str(out)])
+        config = write_config(tmp_path, lap={"enabled": False},
+                              output_dir=str(out))
+        code = main(["run", "--config", str(config)])
         assert code == 0
         with open(out / "trace_seed0.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["gradient_scale"] == "1" for r in rows)
+
+    def test_written_config_reruns_into_its_own_directory(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, seeds=[0, 2], output_dir=str(out))
+        assert main(["run", "--config", str(config)]) == 0
+        first = capsys.readouterr().out
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(written) == ["config.json", "metrics.csv",
+                                   "trace_seed0.csv", "trace_seed2.csv"]
+        assert main(["run", "--config", str(out / "config.json")]) == 0
+        assert capsys.readouterr().out == first
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     @pytest.mark.parametrize(
         "kind, splits",
@@ -220,8 +225,8 @@ def _unparsable_trace(tmp_path):
     pytest.param(lambda tmp: _file_dataset_args(tmp, "idx_files",
                                                 "train_images", tmp),
                  1, "Is a directory", id="idx-images-is-a-directory"),
-    pytest.param(lambda tmp: _run_args(tmp) + [
-                     "--out", str(_written(tmp / "taken", b""))],
+    pytest.param(lambda tmp: _run_args(
+                     tmp, output_dir=str(_written(tmp / "taken", b""))),
                  1, "File exists", id="out-is-a-file"),
     pytest.param(lambda tmp: ["inspect-trace", str(tmp)], 2,
                  "is not a trace CSV", id="trace-is-a-directory"),
@@ -231,6 +236,26 @@ def _unparsable_trace(tmp_path):
 def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
                                           capsys):
     assert main(make_args(tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make_args, message", [
+    pytest.param(lambda tmp: _run_args(tmp, seeds=[0, -1]), "seeds",
+                 id="run-negative-seed"),
+    pytest.param(lambda tmp: ["sweep", "--config",
+                              str(write_config(tmp, seeds=[-1])),
+                              "--leniency", "0.8"],
+                 "seeds", id="sweep-negative-seed"),
+    pytest.param(lambda tmp: ["walkers", "--seed", "-1", "--steps", "10"],
+                 "seed", id="walkers-negative-seed"),
+    pytest.param(lambda tmp: ["walkers", "--shift", "nan", "--steps", "10"],
+                 "mean_shift", id="walkers-nan-shift"),
+])
+def test_bad_value_is_an_error_line(make_args, message, tmp_path, capsys):
+    assert main(make_args(tmp_path)) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
@@ -259,6 +284,19 @@ class TestSweepCommand:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][:4] == ["0.4", "2", "3", "0.5"]
+
+    def test_close_axis_values_keep_distinct_labels(self, tmp_path, capsys):
+        config = write_config(tmp_path, training={"epochs": 1, "batch_size": 4})
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(config), "--out", str(out),
+                     "--leniency", "0.8000001", "0.8000002"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == [
+            "leniency=0.8000001", "leniency=0.8000002"]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["0.8000001", "0.8000002"]
 
 
 class TestWalkersCommand:
@@ -289,9 +327,9 @@ class TestWalkersCommand:
 
 class TestInspectCommand:
     def test_summarizes_trace(self, tmp_path, capsys):
-        config = write_config(tmp_path)
         out = tmp_path / "out"
-        main(["run", "--config", str(config), "--out", str(out)])
+        config = write_config(tmp_path, output_dir=str(out))
+        main(["run", "--config", str(config)])
         capsys.readouterr()
         code = main(["inspect-trace", str(out / "trace_seed0.csv")])
         assert code == 0

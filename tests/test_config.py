@@ -82,6 +82,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seeds"):
             config_from_dict({"seeds": []})
 
+    def test_negative_seeds(self):
+        with pytest.raises(ConfigError, match="seeds must be >= 0"):
+            config_from_dict({"seeds": [0, -1]})
+
     def test_idx_needs_paths(self):
         with pytest.raises(ConfigError, match="train_images"):
             config_from_dict({"dataset": {"kind": "idx_files"}})
@@ -468,3 +472,8 @@ class TestCommittedConfigs:
             sources=replace(base.sources, exclude_corrupt_from_training=True),
         )
         assert self.load("clean_only", judged) == judged
+
+    def test_standard_is_criterion_5s_second_arm(self):
+        base = _identification_config()
+        judged = base.replace(lap=replace(base.lap, enabled=False))
+        assert self.load("standard", judged) == judged

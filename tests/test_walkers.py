@@ -155,6 +155,9 @@ class TestConfigAndCsv:
             {"leniencies": ()},
             {"leniencies": (1.0, math.nan)},
             {"depression_strength": 0.0},
+            {"mean_shift": math.nan},
+            {"mean_shift": math.inf},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
