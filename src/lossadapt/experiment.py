@@ -40,9 +40,9 @@ from .trust import SourceRegistry, depression_value
 
 METRICS_CSV_COLUMNS = ("seed", "epoch", "split", "accuracy", "mean_loss")
 TRACE_CSV_COLUMNS = ("step", "source_id", "distrust", "gradient_scale", "is_corrupt")
-# steps of the trace the CSV writer renders at a time: its memory depends on
-# this, the number of sources and the highest distrust level, not on the
-# number of steps
+# steps of the trace rebuilt, and rendered by the CSV writer, at a time: their
+# memory depends on this and the number of sources, not on the number of
+# steps or the highest distrust level
 TRACE_BLOCK = 256
 
 # substream keys under the run seed
@@ -64,16 +64,22 @@ class MetricsRecord:
 
 
 class Trace:
-    """Every source's distrust after every optimizer step of one run, and
-    the step where each of its two schedules switches.
+    """One run's step log: for each optimizer step, the column of the source
+    that stepped and that source's distrust after the step; and the step
+    where each of the run's two schedules switches.
 
-    Distrust is a count: a ±1 walk from 0, so every level is a whole number
-    in [0, steps]. Gradient scales are derived from distrust once per
-    level, by :meth:`scales`. Columns follow ``source_ids``, in
-    registration order. A trace holds only the schedules of the paper: a
-    corrupt source turns clean at most once, and depression, once on, stays on.
+    A step moves only the stepping source's distrust, and by at most 1:
+    distrust is a count, a ±1 walk from 0 held at 0. So the log alone gives
+    every source's level at every step, which :attr:`distrust` rebuilds a
+    :data:`TRACE_BLOCK` of steps at a time. A log that no such walk makes (a
+    column outside ``source_ids``, a negative level, or a level more than 1
+    from its column's previous level) raises :class:`DataError`, naming the
+    step and the column. Columns follow ``source_ids``, in registration
+    order. A trace holds only the schedules of the paper: a corrupt source
+    turns clean at most once, and depression, once on, stays on.
 
-    distrust        int32 (steps, n_sources), levels in [0, steps]
+    column          int32 (steps,): the stepping source's column
+    level           int32 (steps,): that source's distrust after the step
     corrupt         bool (n_sources,): the source's data is corrupt before
                     ``clean_from``, the reliability flip (``steps`` if none)
     depressed_from  the first step whose gradients were scaled by 1 -
@@ -90,35 +96,90 @@ class Trace:
     ):
         self.source_ids = tuple(source_ids)
         self.depression_strength = depression_strength
-        self.distrust = np.zeros((steps, len(self.source_ids)), dtype=np.int32)
+        self.column = np.zeros(steps, dtype=np.int32)
+        self.level = np.zeros(steps, dtype=np.int32)
         self.corrupt = np.isin(self.source_ids, list(corrupt_source_ids))
         self.clean_from = steps if flip_step is None else flip_step
         self.depressed_from = steps
 
-    def scales(self) -> np.ndarray:
-        """The gradient scale of each distrust level while depression
-        applies, indexed by level, from 0 to the trace's highest.
+    def check(self) -> None:
+        """Raise :class:`DataError` at the first step whose event no walk
+        makes, naming the step and the column."""
+        for _ in self._blocks():
+            pass
 
-        A ±1 walk from 0 reaches no level outside [0, steps], so any other
-        level raises :class:`DataError` before the table is built."""
-        steps = len(self.distrust)
-        low = int(self.distrust.min(initial=0))
-        high = int(self.distrust.max(initial=0))
-        if low < 0 or high > steps:
-            raise DataError(
-                f"distrust level {low if low < 0 else high} lies outside "
-                f"[0, {steps}], the levels a walk of {steps} steps reaches"
-            )
-        strength = self.depression_strength
-        return np.array(
-            [1.0 - depression_value(v, strength) for v in range(high + 1)]
-        )
+    def _blocks(self):
+        """Yield ``(start, values, index)`` for each :data:`TRACE_BLOCK` of
+        steps, after refusing the block's events: ``values[index]`` is the
+        block's ``(rows, n_sources)`` distrust, and ``values`` holds the row
+        before the block and then the block's levels, so every level in the
+        block is one of them."""
+        n = len(self.source_ids)
+        last = np.zeros(n, dtype=np.int32)
+        for start in range(0, len(self.level), TRACE_BLOCK):
+            column = self.column[start:start + TRACE_BLOCK]
+            outside = (column < 0) | (column >= n)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise DataError(
+                    f"step {start + i}: column {column[i]} lies outside "
+                    f"[0, {n}), the trace's {n} sources"
+                )
+            rows = np.arange(len(column))
+            values = np.concatenate([last, self.level[start:start + TRACE_BLOCK]])
+            # each cell's index into values: its column's last event so far
+            # in the block (event i is at n + i), else the row before
+            index = np.tile(np.arange(n), (len(column), 1))
+            index[rows, column] = n + rows
+            np.maximum.accumulate(index, axis=0, out=index)
+            # each event's level before it, in the row above; the first bad
+            # event's is a level the walk reached, so nothing overflows
+            before = values[np.append(column[:1], index[rows[:-1], column[1:]])]
+            level = values[n:]
+            bad = (level < 0) | (np.abs(level - before) > 1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataError(
+                    f"step {start + i}, column {column[i]}: distrust moves "
+                    f"from {before[i]} to {level[i]}, but a step moves it by "
+                    f"at most 1 and never below 0"
+                )
+            yield start, values, index
+            last = values[index[-1]]
+
+    @property
+    def distrust(self) -> np.ndarray:
+        """Every source's distrust after every step, rebuilt from the log:
+        a read-only int32 ``(steps, n_sources)`` array."""
+        self.check()
+        out = np.empty((len(self.level), len(self.source_ids)), dtype=np.int32)
+        for start, values, index in self._blocks():
+            out[start:start + len(index)] = values[index]
+        out.flags.writeable = False
+        return out
 
     def gradient_scales(self) -> np.ndarray:
         """(steps, n_sources) gradient scale of every source at every step."""
-        out = self.scales()[self.distrust]
+        self.check()
+        out = np.empty((len(self.level), len(self.source_ids)))
+        for start, values, index in self._blocks():
+            levels, inverse = _distinct(values)
+            scales = np.array(_scales(levels, self.depression_strength))
+            out[start:start + len(index)] = scales[inverse[index]]
         out[: self.depressed_from] = 1.0
         return out
+
+
+def _distinct(values: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct levels in ``values``, ascending, and the index of each
+    value among them (``np.unique`` touches more memory on its first call)."""
+    levels = sorted(set(values.tolist()))
+    return levels, np.searchsorted(levels, values)
+
+
+def _scales(levels, depression_strength: float) -> list[float]:
+    """The gradient scale of each distrust level while depression applies."""
+    return [1.0 - depression_value(v, depression_strength) for v in levels]
 
 
 @dataclass
@@ -255,6 +316,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     )
     # the trace's schedules are the ones the batches follow
     corrupt = trace.corrupt.tolist()
+    levels = registry.distrust_levels
     batch_size = config.training.batch_size
 
     records: list[MetricsRecord] = []
@@ -282,7 +344,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                         f"source {prep.source_ids[col]}: {exc}"
                     ) from exc
                 optimizer.step(params, grads, loss, prep.source_ids[col])
-                trace.distrust[step] = registry.distrust_levels
+                trace.column[step] = col
+                trace.level[step] = levels[col]
                 if step < trace.depressed_from and optimizer.depression_applied:
                     trace.depressed_from = step
                 step += 1
@@ -328,28 +391,34 @@ def write_trace_csv(trace: Trace, path) -> None:
     ``.10g`` scale, 0/1 corrupt flag, ``\\r\\n`` line ends.
 
     Lines are rendered and written :data:`TRACE_BLOCK` steps at a time, so
-    the memory this takes does not grow with the number of steps."""
-    table = trace.scales()
-    n = len(table)
-    # each line after "step,source_id," is one of four texts per distrust
-    # level, picked by whether the step is depressed and the cell corrupt; a
-    # level is written with :g, never str(), so that 10**6 reads 1e+06
-    tails = np.array([
-        f"{v:g},{s:.10g},{corrupt}\r\n"
-        for level_scales in ([1.0] * n, table)
-        for corrupt in (0, 1)
-        for v, s in enumerate(level_scales)
-    ], dtype=object)
-    steps, n_sources = trace.distrust.shape
+    the memory this takes does not grow with the number of steps or with
+    the highest distrust level. A log that no walk makes is refused before
+    the file is created."""
+    trace.check()
+    strength = trace.depression_strength
     # a block's lines as (step, source, part): step text, ",source_id,", tail
-    cells = np.empty((min(steps, TRACE_BLOCK), n_sources, 3), dtype=object)
+    cells = np.empty(
+        (min(len(trace.level), TRACE_BLOCK), len(trace.source_ids), 3), dtype=object
+    )
     cells[:, :, 1] = np.array([f",{s}," for s in trace.source_ids], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_CSV_COLUMNS) + "\r\n")
-        for start in range(0, steps, TRACE_BLOCK):
-            stop = min(start + TRACE_BLOCK, steps)
+        for start, values, index in trace._blocks():
+            stop = start + len(index)
+            # each line after "step,source_id," is one of four texts per
+            # level in the block, picked by whether the step is depressed and
+            # the cell corrupt; a level is written with :g, never str(), so
+            # that 10**6 reads 1e+06
+            levels, inverse = _distinct(values)
+            n = len(levels)
+            tails = np.array([
+                f"{v:g},{s:.10g},{corrupt}\r\n"
+                for level_scales in ([1.0] * n, _scales(levels, strength))
+                for corrupt in (0, 1)
+                for v, s in zip(levels, level_scales)
+            ], dtype=object)
             at = np.arange(start, stop)[:, None]
-            codes = trace.distrust[start:stop].astype(np.intp)
+            codes = inverse[index]
             codes += n * (
                 2 * (at >= trace.depressed_from)
                 + (trace.corrupt & (at < trace.clean_from))

@@ -345,7 +345,7 @@ class TestInspectCommand:
         code = main(["inspect-trace", str(out / "trace_seed0.csv"), "--last", "3"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        steps = len(trace.distrust)
+        steps = len(trace.level)
         assert lines[0] == f"steps 0..{steps - 1}, 4 sources, averaging last 3 step(s)"
         means = zip(
             trace.source_ids,
@@ -361,7 +361,7 @@ class TestInspectCommand:
     def test_last_beyond_the_run_averages_the_whole_run(self, tmp_path, capsys):
         out = tmp_path / "out"
         (run,) = run_experiment(load_config(write_config(tmp_path)), out_dir=out)
-        steps = len(run.trace.distrust)
+        steps = len(run.trace.level)
         sources = []
         for last in (steps, steps + 1, 10**6):
             code = main(["inspect-trace", str(out / "trace_seed0.csv"),

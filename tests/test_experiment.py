@@ -75,6 +75,7 @@ class TestRunSingle:
         steps = total_steps(config)
         trace = result.trace
         assert trace.source_ids == (0, 1, 2, 3, 4)
+        assert trace.column.shape == trace.level.shape == (steps,)
         assert trace.distrust.shape == (steps, 5)
         assert trace.corrupt.shape == (5,)
         assert trace.clean_from == steps
@@ -345,10 +346,24 @@ class TestTrace:
         assert off.depressed_from == len(off.distrust)
         assert (off.gradient_scales() == 1.0).all()
 
+    def test_log_replays_to_the_registry_final_levels(self, monkeypatch):
+        registries = []
+
+        class Recording(SourceRegistry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                registries.append(self)
+
+        monkeypatch.setattr(experiment, "SourceRegistry", Recording)
+        trace = run_single(small_config(), 0).trace
+        (registry,) = registries
+        assert (registry.distrust_levels > 0).any()
+        assert replay(trace)[-1] == registry.distrust_levels.tolist()
+        assert trace.distrust.tolist() == replay(trace)
+
     def test_gradient_scales_allocates_only_its_result(self):
         trace = Trace(range(40), 20_000, 4.0, frozenset(), None)
-        rng = np.random.default_rng(0)
-        trace.distrust[:] = rng.integers(0, 200, size=trace.distrust.shape)
+        random_walk(trace, seed=0)
         trace.depressed_from = 1000
         trace.gradient_scales()  # the first call's one-off imports and caches
         tracemalloc.start()
@@ -685,18 +700,53 @@ def csv_writer_rendering(trace):
     return buf.getvalue().encode()
 
 
-def hand_built_trace(steps, lap, flip_step, seed=0):
-    """Whole distrust levels drawn from [0, steps], the levels a walk of
-    ``steps`` steps from 0 can reach, with one cell at the bound."""
+def random_walk(trace, seed):
+    """Fill the trace's step log with a walk from 0 that climbs: each step
+    picks a column at random and moves its level by -1, 0, +1 or +1, held at
+    0, so that many levels occur."""
     rng = np.random.default_rng(seed)
+    steps, n = len(trace.level), len(trace.source_ids)
+    columns = rng.integers(n, size=steps).tolist()
+    moves = rng.choice([-1, 0, 1, 1], size=steps).tolist()
+    row = [0] * n
+    levels = []
+    for column, move in zip(columns, moves):
+        row[column] = max(row[column] + move, 0)
+        levels.append(row[column])
+    trace.column[:] = columns
+    trace.level[:] = levels
+
+
+def replay(trace):
+    """Every source's level after every step, replayed one event at a time."""
+    row = [0] * len(trace.source_ids)
+    rows = []
+    for column, level in zip(trace.column.tolist(), trace.level.tolist()):
+        row[column] = level
+        rows.append(list(row))
+    return rows
+
+
+def hand_built_trace(steps, lap, flip_step, seed=0):
+    """A random walk of 4 sources, two of them corrupt."""
     trace = Trace((3, 7, 11, 12), steps, 1.5, frozenset({7, 12}), flip_step)
-    trace.distrust[:] = rng.integers(0, steps + 1, size=trace.distrust.shape)
-    if steps:
-        trace.distrust[rng.integers(steps), rng.integers(4)] = steps
+    random_walk(trace, seed)
     if lap:
         # off during a hold-off, then on
         trace.depressed_from = steps // 3
     return trace
+
+
+def assert_refused(trace, match, tmp_path):
+    """Every reader of the log refuses it, and the CSV writer before it
+    creates the file."""
+    with pytest.raises(DataError, match=match):
+        trace.gradient_scales()
+    with pytest.raises(DataError, match=match):
+        trace.distrust
+    with pytest.raises(DataError, match=match):
+        write_trace_csv(trace, tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
 
 
 class TestTraceWriter:
@@ -713,6 +763,19 @@ class TestTraceWriter:
         write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
 
+    @pytest.mark.parametrize("n_sources", [4, TRACE_BLOCK + 44])
+    @pytest.mark.parametrize(
+        "steps",
+        [1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 3 * TRACE_BLOCK + 5],
+        ids=["one", "block-1", "block", "block+1", "3block+5"],
+    )
+    def test_distrust_matches_a_step_by_step_replay(self, steps, n_sources):
+        # with more sources than steps in a block, most columns take no
+        # event in a block and carry the row before it
+        trace = Trace(range(n_sources), steps, 1.5, frozenset(), None)
+        random_walk(trace, seed=steps)
+        assert trace.distrust.tolist() == replay(trace)
+
     @pytest.mark.parametrize("steps", [0, 1, 1031])
     def test_gradient_scales_match_each_cell(self, steps):
         trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
@@ -723,7 +786,7 @@ class TestTraceWriter:
                 if step >= trace.depressed_from else 1.0
                 for d in row
             ]
-            for step, row in enumerate(trace.distrust.tolist())
+            for step, row in enumerate(replay(trace))
         ]
         assert trace.gradient_scales().tolist() == expected
 
@@ -731,20 +794,40 @@ class TestTraceWriter:
     @pytest.mark.parametrize("bad", ["below", "above"])
     def test_levels_outside_the_walk_are_refused(self, steps, bad, tmp_path):
         trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
-        level = -1 if bad == "below" else steps + 1
-        trace.distrust[steps // 2, 1] = level
-        match = rf"distrust level {level} lies outside \[0, {steps}\]"
-        with pytest.raises(DataError, match=match):
-            trace.gradient_scales()
-        with pytest.raises(DataError, match=match):
-            write_trace_csv(trace, tmp_path / "trace.csv")
-        assert not (tmp_path / "trace.csv").exists()
+        # the first event of a block, whose column's level before it is
+        # carried from the block before
+        step = min(steps - 1, 2 * TRACE_BLOCK)
+        column = int(trace.column[step])
+        before = replay(trace)[step - 1][column] if step else 0
+        level = -1 if bad == "below" else before + 2
+        trace.level[step] = level
+        assert_refused(
+            trace,
+            rf"step {step}, column {column}: distrust moves from {before} "
+            rf"to {level}, but a step moves it by at most 1 and never below 0",
+            tmp_path,
+        )
+
+    @pytest.mark.parametrize("steps", [1, 1031])
+    @pytest.mark.parametrize("column", [-1, 4])
+    def test_columns_outside_the_trace_are_refused(self, steps, column, tmp_path):
+        trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
+        trace.column[steps // 2] = column
+        assert_refused(
+            trace,
+            rf"step {steps // 2}: column {column} lies outside \[0, 4\)",
+            tmp_path,
+        )
+
+    def test_distrust_cannot_be_written(self):
+        trace = hand_built_trace(10, lap=True, flip_step=None)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.distrust[:] = 0
 
     def test_memory_does_not_grow_with_steps(self):
         def peak_bytes(steps):
             trace = Trace(range(40), steps, 4.0, frozenset(range(12)), None)
-            rng = np.random.default_rng(steps)
-            trace.distrust[:] = rng.integers(0, 200, size=trace.distrust.shape)
+            random_walk(trace, seed=steps)
             trace.depressed_from = steps // 10
             tracemalloc.start()
             try:
@@ -756,6 +839,24 @@ class TestTraceWriter:
         peak_bytes(TRACE_BLOCK)  # the first call's one-off imports and caches
         short, long = peak_bytes(20_000), peak_bytes(40_000)
         assert short < 4 * 2**20
+        assert long < 1.1 * short
+
+    def test_memory_does_not_grow_with_the_highest_level(self):
+        # one source whose level climbs every step: each block holds 257
+        # levels, and the trace's highest is its number of steps
+        def peak_bytes(steps):
+            trace = Trace((0,), steps, 4.0, frozenset(), None)
+            trace.level[:] = np.arange(1, steps + 1)
+            trace.depressed_from = 0
+            tracemalloc.start()
+            try:
+                write_trace_csv(trace, os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(TRACE_BLOCK)  # the first call's one-off imports and caches
+        short, long = peak_bytes(20_000), peak_bytes(40_000)
         assert long < 1.1 * short
 
 
