@@ -1,13 +1,14 @@
 """Command-line front end.
 
     lossadapt run          --config c.json
-    lossadapt sweep        --config c.json [--out DIR] [--leniency ...] ...
+    lossadapt sweep        --config s.json
     lossadapt walkers      [--shift ...] [--leniency ...] [--out DIR] ...
     lossadapt inspect-trace TRACE.csv [--last N]
 
 `run` runs its config as written: the seeds, the LAP switch and the output
 directory are the config's `seeds`, `lap.enabled` and `output_dir`.
-`run --help` lists every config file key.
+`run --help` lists every config file key. `sweep` reads a config with one
+more key, `grid`, and runs it at every point of that grid.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import get_type_hints
 
-from .config import CONFIG_KEY_DOC, load_config
+from .config import CONFIG_KEY_DOC, config_from_dict, load_config, read_config_file
 from .errors import LossAdaptError
-from .experiment import SWEEP_AXES, TRACE_CSV_COLUMNS, SweepRow, run_experiment
-from .experiment import sweep, write_sweep_csv
+from .experiment import TRACE_CSV_COLUMNS, run_experiment, sweep, sweep_text
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
 from .walkers import expected_increment_probability
 
@@ -51,15 +50,17 @@ def _add_run_parser(sub):
 def _add_sweep_parser(sub):
     p = sub.add_parser(
         "sweep",
-        help="grid over leniency/depression_strength/history_length/corruption_rate",
-        description="Cartesian sweep; aggregates accuracy over the config's seeds.",
+        help="run the config over a grid of config values",
+        description=(
+            "Run the config at every point of its `grid`, the one key only "
+            "sweep reads, which maps dotted config keys to lists of values: "
+            '{"lap.leniency": [0.4, 0.8], "lap.enabled": [true, false]} is '
+            "four points. Each line gives a point and its mean±std final "
+            "accuracy over `seeds`; `sweep.csv` lands in `output_dir` if set."
+        ),
     )
-    p.add_argument("--config", required=True, metavar="PATH")
-    p.add_argument("--out", metavar="DIR", help="where sweep.csv lands")
-    row_types = get_type_hints(SweepRow)
-    for axis in SWEEP_AXES:
-        p.add_argument("--" + axis.replace("_", "-"), type=row_types[axis],
-                       nargs="+", metavar="V")
+    p.add_argument("--config", required=True, metavar="PATH",
+                   help="JSON experiment config plus its grid")
     return p
 
 
@@ -138,20 +139,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    grid = {axis: getattr(args, axis) for axis in SWEEP_AXES if getattr(args, axis)}
-    rows = sweep(config, grid)
-    for row in rows:
-        print(
-            f"leniency={row.leniency:.10g} strength={row.depression_strength:.10g} "
-            f"h={row.history_length} rate={row.corruption_rate:.10g} "
-            f"acc={row.mean_accuracy:.4f}±{row.std_accuracy:.4f}"
-        )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(rows, out / "sweep.csv")
-        print(f"wrote {out / 'sweep.csv'}")
+    raw = read_config_file(args.config)
+    grid = raw.pop("grid", None) if isinstance(raw, dict) else None
+    config = config_from_dict(raw)
+    for row in sweep(config, grid):
+        point = " ".join(f"{key}={sweep_text(row[key])}" for key in grid)
+        print(f"{point} acc={row['mean_accuracy']:.4f}±{row['std_accuracy']:.4f}")
+    if config.output_dir:
+        print(f"wrote {Path(config.output_dir) / 'sweep.csv'}")
     return 0
 
 

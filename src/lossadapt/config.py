@@ -301,15 +301,20 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return json.loads(json.dumps(out))
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_file(path):
+    """The JSON value in a config file, unchecked; a missing file or one
+    that is not JSON raises :class:`ConfigError`."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config_file(path))
 
 
 def serialize_config(config: ExperimentConfig, path) -> None:
@@ -361,5 +366,5 @@ training.batch_size             items per batch, one source per batch (6)
 training.train_val_ratio        train:val split (3:1)
 seeds                           list of run seeds ([0])
 output_dir                      where run writes metrics/trace/config files
-                                (null: run writes no files)
+                                and sweep writes sweep.csv (null: no files)
 """

@@ -14,16 +14,18 @@ repeats of the same config + seed.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
+import json
 import math
-from dataclasses import dataclass, fields
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, serialize_config
+from .config import ExperimentConfig, config_from_dict, config_to_dict
+from .config import serialize_config
 from .corruption import SourcePlan, apply_corruption, split_into_sources
 from .datasets import (
     Dataset,
@@ -151,7 +153,6 @@ class Trace:
     def distrust(self) -> np.ndarray:
         """Every source's distrust after every step, rebuilt from the log:
         a read-only int32 ``(steps, n_sources)`` array."""
-        self.check()
         out = np.empty((len(self.level), len(self.source_ids)), dtype=np.int32)
         for start, values, index in self._blocks():
             out[start:start + len(index)] = values[index]
@@ -160,7 +161,6 @@ class Trace:
 
     def gradient_scales(self) -> np.ndarray:
         """(steps, n_sources) gradient scale of every source at every step."""
-        self.check()
         out = np.empty((len(self.level), len(self.source_ids)))
         for start, values, index in self._blocks():
             levels, inverse = _distinct(values)
@@ -452,83 +452,75 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunResult]:
 
 # -- parameter sweeps -----------------------------------------------------
 
-# each axis and the config section that owns it
-SWEEP_AXES = {
-    "leniency": "lap",
-    "depression_strength": "lap",
-    "history_length": "lap",
-    "corruption_rate": "sources",
-}
+
+def _set_key(raw: dict, key: str, value) -> None:
+    """Set the dotted config ``key`` (``"lap.leniency"``) of ``raw``."""
+    *sections, name = key.split(".")
+    for i, section in enumerate(sections):
+        # a section the config lacks is made, so that the loader names it
+        raw = raw.setdefault(section, {})
+        if not isinstance(raw, dict):
+            path = ".".join(sections[: i + 1])
+            raise ConfigError(f"grid.{key}: {path} is not a section")
+    raw[name] = value
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    leniency: float
-    depression_strength: float
-    history_length: int
-    corruption_rate: float
-    n_seeds: int
-    mean_accuracy: float
-    std_accuracy: float
+def sweep(config: ExperimentConfig, grid) -> list[dict]:
+    """Run ``config`` at every point of the Cartesian product of ``grid``, a
+    map of dotted config keys to lists of values, in grid order. Every point
+    is loaded by :func:`config_from_dict`, which refuses a key or value by
+    name, before any trains. A row maps each grid key to the point's value,
+    then gives ``n_seeds`` and the mean and std over the seeds of the final
+    test accuracy (val without a test split). The rows are written to
+    ``sweep.csv`` in ``config.output_dir`` when that is set."""
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError(f"grid: expected a nonempty object, got {grid!r}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid.{key}: expected a nonempty list, got {values!r}")
+    base = config_to_dict(config)
+    base["output_dir"] = None
+    points = []
+    for combo in itertools.product(*grid.values()):
+        raw = copy.deepcopy(base)
+        for key, value in zip(grid, combo):
+            _set_key(raw, key, value)
+        points.append((dict(zip(grid, combo)), config_from_dict(raw)))
+    if config.output_dir is not None:
+        # made before the first point runs, as run_experiment does
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
 
-
-SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
-
-
-def sweep(config: ExperimentConfig, grid: dict) -> list[SweepRow]:
-    """Cartesian product over any of the :data:`SWEEP_AXES`; each point
-    aggregates final clean-split accuracy (test when present, else val) over
-    all config seeds."""
-    if not grid:
-        raise ConfigError("sweep grid must be nonempty")
-    for key in grid:
-        if key not in SWEEP_AXES:
-            raise ConfigError(
-                f"sweep.{key}: unknown axis (choose from {tuple(SWEEP_AXES)})"
-            )
-        if not grid[key]:
-            raise ConfigError(f"sweep.{key}: empty value list")
-    axes = [k for k in SWEEP_AXES if k in grid]
     rows = []
-    for combo in itertools.product(*(grid[k] for k in axes)):
-        point_config = config.replace(output_dir=None)
-        for axis, value in zip(axes, combo):
-            section = SWEEP_AXES[axis]
-            owner = dc_replace(getattr(point_config, section), **{axis: value})
-            point_config = point_config.replace(**{section: owner})
+    for values, point in points:
         accs = []
-        for run in run_experiment(point_config):
+        for run in run_experiment(point):
             try:
                 accs.append(run.final_accuracy("test"))
             except KeyError:
                 accs.append(run.final_accuracy("val"))
-        rows.append(
-            SweepRow(
-                **{
-                    axis: getattr(getattr(point_config, section), axis)
-                    for axis, section in SWEEP_AXES.items()
-                },
-                n_seeds=len(accs),
-                mean_accuracy=float(np.mean(accs)),
-                std_accuracy=float(np.std(accs)),
-            )
-        )
+        rows.append({
+            **values,
+            "n_seeds": len(accs),
+            "mean_accuracy": float(np.mean(accs)),
+            "std_accuracy": float(np.std(accs)),
+        })
+    if config.output_dir is not None:
+        write_sweep_csv(rows, out / "sweep.csv")
     return rows
 
 
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
+def sweep_text(value) -> str:
+    """A sweep value as text: a float with ``.10g``, a string as itself,
+    anything else as JSON (``true``, ``3``, ``[2, 8, 3]``)."""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def write_sweep_csv(rows: list[dict], path) -> None:
+    """The rows of :func:`sweep` as CSV, headed by their keys."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r.leniency:.10g}",
-                    f"{r.depression_strength:.10g}",
-                    r.history_length,
-                    f"{r.corruption_rate:.10g}",
-                    r.n_seeds,
-                    f"{r.mean_accuracy:.10g}",
-                    f"{r.std_accuracy:.10g}",
-                ]
-            )
+        writer.writerow(rows[0])
+        writer.writerows([sweep_text(v) for v in row.values()] for row in rows)

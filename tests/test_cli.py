@@ -48,7 +48,7 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["run", "--config", "c.json"],
-            ["sweep", "--config", "c.json", "--leniency", "0.8"],
+            ["sweep", "--config", "c.json"],
             ["walkers", "--steps", "10"],
             ["inspect-trace", "t.csv"],
         ):
@@ -79,6 +79,13 @@ class TestParser:
     def test_run_takes_no_override_of_a_config_key(self, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--config", "c", flag, "0"])
+
+    @pytest.mark.parametrize("flag", [
+        "--out", "--leniency", "--depression-strength", "--history-length",
+        "--corruption-rate"])
+    def test_sweep_takes_only_its_config(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--config", "c", flag, "0"])
 
 
 class TestRunCommand:
@@ -184,6 +191,13 @@ def _run_args(tmp_path, **overrides):
     return ["run", "--config", str(write_config(tmp_path, **overrides))]
 
 
+def _sweep_args(tmp_path, grid, **overrides):
+    """A sweep of the test config over ``grid`` (no ``grid`` key if None)."""
+    if grid is not None:
+        overrides["grid"] = grid
+    return ["sweep", "--config", str(write_config(tmp_path, **overrides))]
+
+
 def _file_dataset_args(tmp_path, kind, key, target):
     dataset = conftest.file_dataset_sections(tmp_path)[kind]
     dataset[key] = str(target)
@@ -245,10 +259,23 @@ def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
 @pytest.mark.parametrize("make_args, message", [
     pytest.param(lambda tmp: _run_args(tmp, seeds=[0, -1]), "seeds",
                  id="run-negative-seed"),
-    pytest.param(lambda tmp: ["sweep", "--config",
-                              str(write_config(tmp, seeds=[-1])),
-                              "--leniency", "0.8"],
+    pytest.param(lambda tmp: _sweep_args(tmp, {"lap.leniency": [0.8]},
+                                         seeds=[-1]),
                  "seeds", id="sweep-negative-seed"),
+    pytest.param(lambda tmp: _sweep_args(tmp, None), "grid: expected",
+                 id="sweep-without-grid"),
+    pytest.param(lambda tmp: _sweep_args(tmp, [0.8]), "grid: expected",
+                 id="sweep-grid-not-an-object"),
+    pytest.param(lambda tmp: _sweep_args(tmp, {"lap.leniency": 0.8}),
+                 "grid.lap.leniency: expected a nonempty list",
+                 id="sweep-value-not-a-list"),
+    pytest.param(lambda tmp: _sweep_args(tmp, {"seeds.x": [0]}),
+                 "grid.seeds.x: seeds is not a section",
+                 id="sweep-key-through-a-value"),
+    pytest.param(lambda tmp: _sweep_args(tmp, {"lap.lenency": [0.8]}),
+                 "lap.lenency: unknown key", id="sweep-typo"),
+    pytest.param(lambda tmp: _run_args(tmp, grid={"lap.leniency": [0.8]}),
+                 "grid: unknown key", id="run-on-a-sweep-file"),
     pytest.param(lambda tmp: ["walkers", "--seed", "-1", "--steps", "10"],
                  "seed", id="walkers-negative-seed"),
     pytest.param(lambda tmp: ["walkers", "--shift", "nan", "--steps", "10"],
@@ -263,40 +290,57 @@ def test_bad_value_is_an_error_line(make_args, message, tmp_path, capsys):
 
 
 class TestSweepCommand:
-    def test_sweep_csv_written(self, tmp_path, capsys):
-        config = write_config(tmp_path, training={"epochs": 1, "batch_size": 4})
-        out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", str(config),
-                     "--leniency", "0.4", "0.8", "--out", str(out)])
+    def sweep(self, tmp_path, grid, **overrides):
+        """Run `sweep` over ``grid`` on a one-epoch config."""
+        code = main(_sweep_args(tmp_path, grid, **overrides,
+                                training={"epochs": 1, "batch_size": 4}))
         assert code == 0
+
+    def test_sweep_csv_written(self, tmp_path, capsys):
+        out = tmp_path / "sweepout"
+        self.sweep(tmp_path, {"lap.leniency": [0.4, 0.8]}, output_dir=str(out))
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[-1] == f"wrote {out / 'sweep.csv'}"
+        assert os.listdir(out) == ["sweep.csv"]
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3
-        assert rows[0][0] == "leniency"
+        assert rows[0][0] == "lap.leniency"
 
-    def test_every_axis_flag_reaches_the_grid(self, tmp_path, capsys):
-        config = write_config(tmp_path, training={"epochs": 1, "batch_size": 4})
+    def test_every_old_axis_reaches_the_row(self, tmp_path, capsys):
         out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", str(config), "--out", str(out),
-                     "--leniency", "0.4", "--depression-strength", "2",
-                     "--history-length", "3", "--corruption-rate", "0.5"])
-        assert code == 0
+        self.sweep(tmp_path, {"lap.leniency": [0.4],
+                              "lap.depression_strength": [2],
+                              "lap.history_length": [3],
+                              "sources.corruption_rate": [0.5]},
+                   output_dir=str(out))
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[1][:4] == ["0.4", "2", "3", "0.5"]
+        assert rows[0] == ["lap.leniency", "lap.depression_strength",
+                           "lap.history_length", "sources.corruption_rate",
+                           "n_seeds", "mean_accuracy", "std_accuracy"]
+        assert rows[1][:5] == ["0.4", "2", "3", "0.5", "1"]
 
     def test_close_axis_values_keep_distinct_labels(self, tmp_path, capsys):
-        config = write_config(tmp_path, training={"epochs": 1, "batch_size": 4})
         out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", str(config), "--out", str(out),
-                     "--leniency", "0.8000001", "0.8000002"])
-        assert code == 0
+        self.sweep(tmp_path, {"lap.leniency": [0.8000001, 0.8000002]},
+                   output_dir=str(out))
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[:2]] == [
-            "leniency=0.8000001", "leniency=0.8000002"]
+            "lap.leniency=0.8000001", "lap.leniency=0.8000002"]
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["0.8000001", "0.8000002"]
+
+    def test_values_print_as_the_file_writes_them(self, tmp_path, capsys):
+        self.sweep(tmp_path, {"lap.enabled": [True, False],
+                              "sources.mode": ["random_label"]})
+        lines = capsys.readouterr().out.splitlines()
+        # no output_dir, so no `wrote` line
+        assert [line.split()[:2] for line in lines] == [
+            ["lap.enabled=true", "sources.mode=random_label"],
+            ["lap.enabled=false", "sources.mode=random_label"]]
 
 
 class TestWalkersCommand:

@@ -20,7 +20,6 @@ from lossadapt.config import config_from_dict, load_config, serialize_config
 from lossadapt.errors import ConfigError, DataError, NumericError
 from lossadapt.experiment import (
     METRICS_CSV_COLUMNS,
-    SWEEP_CSV_COLUMNS,
     TRACE_BLOCK,
     TRACE_CSV_COLUMNS,
     Trace,
@@ -29,7 +28,6 @@ from lossadapt.experiment import (
     run_single,
     sweep,
     total_steps,
-    write_sweep_csv,
     write_trace_csv,
 )
 from lossadapt.models import evaluate
@@ -402,9 +400,9 @@ class TestFileDatasets:
 
     def test_sweep_without_test_split_reads_val_accuracy(self, tmp_path):
         config = self.config(tmp_path, "csv")
-        (row,) = sweep(config, {"leniency": [config.lap.leniency]})
+        (row,) = sweep(config, {"lap.leniency": [config.lap.leniency]})
         (run,) = run_experiment(config)
-        assert row.mean_accuracy == run.final_accuracy("val")
+        assert row["mean_accuracy"] == run.final_accuracy("val")
 
 
 class TestPersistence:
@@ -492,43 +490,119 @@ class TestParity:
             ), name
 
 
+def no_training(config, seed):
+    raise AssertionError("trained before the sweep was checked")
+
+
 class TestSweep:
     def test_grid_of_one_matches_single_run(self):
         config = small_config(training={"epochs": 1, "batch_size": 4})
-        rows = sweep(config, {"leniency": [0.8]})
+        rows = sweep(config, {"lap.leniency": [0.8]})
         assert len(rows) == 1
         (direct,) = run_experiment(config)
-        assert rows[0].mean_accuracy == pytest.approx(direct.final_accuracy("test"))
-        assert rows[0].n_seeds == 1
-        assert rows[0].std_accuracy == 0.0
+        assert rows[0]["mean_accuracy"] == pytest.approx(
+            direct.final_accuracy("test"))
+        assert rows[0]["n_seeds"] == 1
+        assert rows[0]["std_accuracy"] == 0.0
 
     def test_cartesian_product(self):
         config = small_config(training={"epochs": 1, "batch_size": 4})
         rows = sweep(
-            config, {"leniency": [0.4, 0.8], "history_length": [3, 5]}
+            config, {"lap.leniency": [0.4, 0.8], "lap.history_length": [3, 5]}
         )
-        assert len(rows) == 4
-        combos = {(r.leniency, r.history_length) for r in rows}
-        assert combos == {(0.4, 3), (0.4, 5), (0.8, 3), (0.8, 5)}
+        # in grid order, the last key varying fastest
+        assert [(r["lap.leniency"], r["lap.history_length"]) for r in rows] == [
+            (0.4, 3), (0.4, 5), (0.8, 3), (0.8, 5)]
+        assert [list(r) for r in rows] == [[
+            "lap.leniency", "lap.history_length",
+            "n_seeds", "mean_accuracy", "std_accuracy"]] * 4
 
     def test_rejects_bad_grid(self):
         config = small_config()
-        with pytest.raises(ConfigError, match="sweep"):
+        with pytest.raises(ConfigError, match="grid"):
             sweep(config, {})
         with pytest.raises(ConfigError, match="learning_rate"):
             sweep(config, {"learning_rate": [0.1]})
         with pytest.raises(ConfigError, match="empty"):
-            sweep(config, {"leniency": []})
+            sweep(config, {"lap.leniency": []})
+
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(None, "grid: expected a nonempty object", id="none"),
+        pytest.param([0.4], "grid: expected a nonempty object", id="list"),
+        pytest.param({"lap.leniency": 0.4},
+                     "grid.lap.leniency: expected a nonempty list",
+                     id="value-not-a-list"),
+        pytest.param({"seeds.x": [1]}, "grid.seeds.x: seeds is not a section",
+                     id="through-a-list"),
+        pytest.param({"lap.leniency.x": [1]},
+                     "grid.lap.leniency.x: lap.leniency is not a section",
+                     id="through-a-value"),
+        pytest.param({"lap.lenency": [0.4]}, "lap.lenency: unknown key",
+                     id="typo"),
+        pytest.param({"lab.leniency": [0.4]}, "lab: unknown key",
+                     id="unknown-section"),
+        pytest.param({"lap.leniency": [0.4, "high"]},
+                     "lap.leniency: expected float, got 'high'",
+                     id="wrong-type-at-the-second-point"),
+    ])
+    def test_bad_grid_is_refused_by_name_before_training(self, grid, message,
+                                                         monkeypatch):
+        monkeypatch.setattr(experiment, "run_single", no_training)
+        with pytest.raises(ConfigError, match=message):
+            sweep(small_config(), grid)
+
+    def test_grid_over_a_key_outside_the_old_axes(self, monkeypatch):
+        config = small_config(training={"epochs": 1, "batch_size": 4},
+                              seeds=[0, 1])
+        trained = []
+
+        def recording(config, seed):
+            trained.append((config.lap.enabled, seed))
+            return run_single(config, seed)
+
+        monkeypatch.setattr(experiment, "run_single", recording)
+        rows = sweep(config, {"lap.enabled": [True, False]})
+        assert trained == [(True, 0), (True, 1), (False, 0), (False, 1)]
+        expected = []
+        for enabled in (True, False):
+            runs = run_experiment(
+                config.replace(lap=dc_replace(config.lap, enabled=enabled)))
+            accs = [run.final_accuracy("test") for run in runs]
+            expected.append({
+                "lap.enabled": enabled,
+                "n_seeds": 2,
+                "mean_accuracy": float(np.mean(accs)),
+                "std_accuracy": float(np.std(accs)),
+            })
+        assert rows == expected
 
     def test_sweep_csv(self, tmp_path):
-        config = small_config(training={"epochs": 1, "batch_size": 4})
-        rows = sweep(config, {"corruption_rate": [0.0, 1.0]})
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
-        with open(path, newline="") as fh:
+        out = tmp_path / "out"
+        config = small_config(training={"epochs": 1, "batch_size": 4},
+                              output_dir=str(out))
+        rows = sweep(config, {"sources.corruption_rate": [0.0, 1.0]})
+        # the points write no files of their own
+        assert os.listdir(out) == ["sweep.csv"]
+        with open(out / "sweep.csv", newline="") as fh:
             parsed = list(csv.reader(fh))
-        assert parsed[0] == list(SWEEP_CSV_COLUMNS)
+        assert parsed[0] == ["sources.corruption_rate", "n_seeds",
+                             "mean_accuracy", "std_accuracy"]
         assert len(parsed) == 3
+        assert parsed[1] == ["0", "1", f"{rows[0]['mean_accuracy']:.10g}", "0"]
+
+    def test_no_output_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sweep(small_config(training={"epochs": 1, "batch_size": 4}),
+              {"lap.leniency": [0.8]})
+        assert os.listdir(tmp_path) == []
+
+    def test_output_dir_is_made_before_the_first_point(self, tmp_path,
+                                                       monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(experiment, "run_single", no_training)
+        with pytest.raises(FileExistsError):
+            sweep(small_config(output_dir=str(taken)), {"lap.leniency": [0.8]})
 
 
 class TestOverhead:
