@@ -2,20 +2,23 @@
 
     lossadapt run          --config c.json
     lossadapt sweep        --config s.json
-    lossadapt walkers      [--shift ...] [--leniency ...] [--out DIR] ...
+    lossadapt walkers      --config w.json
     lossadapt inspect-trace TRACE.csv [--last N]
 
-`run` runs its config as written: the seeds, the LAP switch and the output
-directory are the config's `seeds`, `lap.enabled` and `output_dir`.
-`run --help` lists every config file key. `sweep` reads a config with one
-more key, `grid`, and runs it at every point of that grid.
+Each command that runs something runs its config file as written: `run`'s
+seeds, LAP switch and output directory are its `seeds`, `lap.enabled` and
+`output_dir`, and `run --help` lists every key. `sweep` reads one more key,
+`grid`, and runs the config at every point of it. `walkers` reads a walker
+ensemble config, whose keys and defaults `walkers --help` lists.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import CONFIG_KEY_DOC, config_from_dict, load_config, read_config_file
@@ -68,19 +71,15 @@ def _add_walkers_parser(sub):
     p = sub.add_parser(
         "walkers",
         help="random-walker ensembles over a leniency grid",
-        description="Simulate distrust walks and write the summary CSV.",
+        description=(
+            "Simulate one ensemble of distrust walks per mean shift, print a "
+            "line per (shift, leniency) point and write walkers.csv into "
+            "output_dir if set. The config file's keys, each optional, with "
+            f"their defaults: {json.dumps(asdict(WalkerConfig()))}"
+        ),
     )
-    p.add_argument("--shift", type=float, nargs="+", default=[0.0, 1.0, 2.0, 3.0],
-                   metavar="V", help="loss-mean shifts (one ensemble each)")
-    ensemble = WalkerConfig  # owns every default below
-    p.add_argument("--leniency", type=float, nargs="+",
-                   default=ensemble.leniencies, metavar="V")
-    p.add_argument("--walkers", type=int, default=ensemble.n_walkers, metavar="N")
-    p.add_argument("--steps", type=int, default=ensemble.n_steps, metavar="N")
-    p.add_argument("--depression-strength", type=float,
-                   default=ensemble.depression_strength, metavar="V")
-    p.add_argument("--seed", type=int, default=ensemble.seed, metavar="N")
-    p.add_argument("--out", metavar="DIR", help="where walkers.csv lands")
+    p.add_argument("--config", required=True, metavar="PATH",
+                   help="JSON walker ensemble config")
     return p
 
 
@@ -151,17 +150,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_walkers(args) -> int:
-    rows = []
-    for shift in args.shift:
-        config = WalkerConfig(
-            mean_shift=shift,
-            n_walkers=args.walkers,
-            n_steps=args.steps,
-            leniencies=tuple(args.leniency),
-            depression_strength=args.depression_strength,
-            seed=args.seed,
-        )
-        rows.extend(simulate_walkers(config))
+    config = load_config(args.config, WalkerConfig)
+    rows = simulate_walkers(config)
     for row in rows:
         p_up = expected_increment_probability(row.leniency, row.mean_shift)
         print(
@@ -169,8 +159,8 @@ def _cmd_walkers(args) -> int:
             f"p_up={p_up:.4f} mean_distrust={row.mean_distrust:.2f} "
             f"mean_depression={row.mean_depression:.4f}"
         )
-    if args.out:
-        out = Path(args.out)
+    if config.output_dir:
+        out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_walker_csv(rows, out / "walkers.csv")
         print(f"wrote {out / 'walkers.csv'}")

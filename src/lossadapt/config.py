@@ -222,6 +222,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if self.output_dir == "":
+            raise ConfigError("output_dir must be a path or null, not ''")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -313,8 +315,9 @@ def read_config_file(path):
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_config_file(path))
+def load_config(path, cls=ExperimentConfig):
+    """The ``cls`` (a config dataclass) that the JSON file at ``path`` holds."""
+    return _load(cls, read_config_file(path), "")
 
 
 def serialize_config(config: ExperimentConfig, path) -> None:

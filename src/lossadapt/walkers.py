@@ -1,7 +1,7 @@
 """Ensemble random-walk model of the distrust update.
 
 Strips the trust mechanism down to its core: a walker's "loss" is a draw
-from N(mean_shift, 1) against reference statistics fixed at mean 0, std 1,
+from N(shift, 1) against reference statistics fixed at mean 0, std 1,
 so distrust steps +1 when the draw exceeds the leniency and -1 otherwise,
 clamped at 0. Sweeping leniency for ensembles of walkers maps out how the
 per-step exceedance probability 1 - Phi(leniency - shift) turns into
@@ -34,19 +34,20 @@ WALKER_CSV_COLUMNS = ("leniency", "mean_shift", "mean_distrust", "mean_depressio
 
 @dataclass(frozen=True)
 class WalkerConfig:
-    """One ensemble: a single loss-mean shift swept over a leniency grid."""
+    """One ensemble per loss-mean shift, each swept over a leniency grid;
+    ``walkers.csv`` lands in ``output_dir`` when that is set."""
 
-    mean_shift: float = 0.0
+    mean_shifts: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
     n_walkers: int = 100
     n_steps: int = 10_000
     leniencies: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 3.0)
     depression_strength: float = 1.0
     seed: int = 0
+    output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "leniencies", tuple(float(v) for v in self.leniencies)
-        )
+        for key in ("mean_shifts", "leniencies"):
+            object.__setattr__(self, key, tuple(map(float, getattr(self, key))))
         if self.n_walkers < 1:
             raise ConfigError(f"n_walkers must be >= 1, got {self.n_walkers}")
         if self.n_steps < 1:
@@ -55,14 +56,17 @@ class WalkerConfig:
             raise ConfigError("leniencies grid must be nonempty")
         if any(math.isnan(v) for v in self.leniencies):
             raise ConfigError(f"leniencies contain NaN: {self.leniencies}")
-        if not math.isfinite(self.mean_shift):
-            raise ConfigError(f"mean_shift must be finite, got {self.mean_shift}")
+        if not self.mean_shifts or not all(map(math.isfinite, self.mean_shifts)):
+            raise ConfigError(f"mean_shifts must be a nonempty list of finite "
+                              f"values, got {self.mean_shifts}")
         if not self.depression_strength > 0:
             raise ConfigError(
                 f"depression_strength must be > 0, got {self.depression_strength}"
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.output_dir == "":
+            raise ConfigError("output_dir must be a path or null, not ''")
 
 
 @dataclass(frozen=True)
@@ -96,37 +100,36 @@ def expected_increment_probability(leniency: float, mean_shift: float) -> float:
 
 
 def simulate_walkers(config: WalkerConfig) -> list[WalkerRow]:
-    """Run the ensemble and summarize each leniency grid point."""
+    """Run one ensemble per shift, in order, and summarize each leniency grid
+    point; walker ``w`` draws from the same stream under every shift."""
     samples = np.empty((config.n_walkers, config.n_steps))
-    for w in range(config.n_walkers):
-        rng = child_rng(config.seed, w)
-        samples[w] = rng.normal(config.mean_shift, 1.0, config.n_steps)
-
     rows = []
-    for lam in config.leniencies:
-        exceed = samples > lam
-        steps = np.where(exceed, 1, -1)
-        traj = clamped_walk(steps)
-        final_r = traj[:, -1].astype(np.float64)
-        final_d = np.array(
-            [depression_value(r, config.depression_strength) for r in final_r]
-        )
-        rows.append(
-            WalkerRow(
-                leniency=float(lam),
-                mean_shift=float(config.mean_shift),
-                mean_distrust=float(final_r.mean()),
-                mean_depression=float(final_d.mean()),
-                increment_fraction=float(exceed.mean()),
-                mean_time_avg_distrust=float(traj.mean()),
+    for shift in config.mean_shifts:
+        for w in range(config.n_walkers):
+            samples[w] = child_rng(config.seed, w).normal(shift, 1.0, config.n_steps)
+        for lam in config.leniencies:
+            exceed = samples > lam
+            steps = np.where(exceed, 1, -1)
+            traj = clamped_walk(steps)
+            final_r = traj[:, -1].astype(np.float64)
+            final_d = np.array(
+                [depression_value(r, config.depression_strength) for r in final_r]
             )
-        )
+            rows.append(
+                WalkerRow(
+                    leniency=float(lam),
+                    mean_shift=shift,
+                    mean_distrust=float(final_r.mean()),
+                    mean_depression=float(final_d.mean()),
+                    increment_fraction=float(exceed.mean()),
+                    mean_time_avg_distrust=float(traj.mean()),
+                )
+            )
     return rows
 
 
 def write_walker_csv(rows: list[WalkerRow], path) -> None:
-    """Plot-ready CSV; rows from several configs (different shifts) can be
-    concatenated into one file."""
+    """Plot-ready CSV, one row per (shift, leniency) grid point."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WALKER_CSV_COLUMNS)

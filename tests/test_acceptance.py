@@ -210,7 +210,7 @@ def test_criterion_03_walker_separation():
     rows_by_shift = {}
     for shift in (0.0, 1.0, 2.0, 3.0):
         cfg = WalkerConfig(
-            mean_shift=shift,
+            mean_shifts=(shift,),
             n_walkers=100,
             n_steps=10_000,
             leniencies=grid,

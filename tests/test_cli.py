@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ class TestParser:
         for argv in (
             ["run", "--config", "c.json"],
             ["sweep", "--config", "c.json"],
-            ["walkers", "--steps", "10"],
+            ["walkers", "--config", "w.json"],
             ["inspect-trace", "t.csv"],
         ):
             args = parser.parse_args(argv)
@@ -75,6 +76,12 @@ class TestParser:
         ):
             assert key in text
 
+    def test_walkers_help_lists_every_key(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["walkers", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert json.dumps(asdict(WalkerConfig())) in text
+
     @pytest.mark.parametrize("flag", ["--seed", "--lap", "--out"])
     def test_run_takes_no_override_of_a_config_key(self, flag):
         with pytest.raises(SystemExit):
@@ -86,6 +93,13 @@ class TestParser:
     def test_sweep_takes_only_its_config(self, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--config", "c", flag, "0"])
+
+    @pytest.mark.parametrize("flag", [
+        "--shift", "--leniency", "--walkers", "--steps", "--depression-strength",
+        "--seed", "--out"])
+    def test_walkers_takes_only_its_config(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["walkers", "--config", "w", flag, "0"])
 
 
 class TestRunCommand:
@@ -198,6 +212,13 @@ def _sweep_args(tmp_path, grid, **overrides):
     return ["sweep", "--config", str(write_config(tmp_path, **overrides))]
 
 
+def _walkers_args(tmp_path, **keys):
+    """`walkers` on a file holding ``keys``."""
+    p = tmp_path / "walkers.json"
+    p.write_text(json.dumps(keys))
+    return ["walkers", "--config", str(p)]
+
+
 def _file_dataset_args(tmp_path, kind, key, target):
     dataset = conftest.file_dataset_sections(tmp_path)[kind]
     dataset[key] = str(target)
@@ -276,10 +297,22 @@ def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
                  "lap.lenency: unknown key", id="sweep-typo"),
     pytest.param(lambda tmp: _run_args(tmp, grid={"lap.leniency": [0.8]}),
                  "grid: unknown key", id="run-on-a-sweep-file"),
-    pytest.param(lambda tmp: ["walkers", "--seed", "-1", "--steps", "10"],
+    pytest.param(lambda tmp: _walkers_args(tmp, seed=-1, n_steps=10),
                  "seed", id="walkers-negative-seed"),
-    pytest.param(lambda tmp: ["walkers", "--shift", "nan", "--steps", "10"],
-                 "mean_shift", id="walkers-nan-shift"),
+    pytest.param(lambda tmp: _walkers_args(tmp, mean_shifts=[float("nan")],
+                                           n_steps=10),
+                 "mean_shifts", id="walkers-nan-shift"),
+    pytest.param(lambda tmp: _walkers_args(tmp, mean_shifts=[]),
+                 "mean_shifts must be a nonempty list",
+                 id="walkers-empty-shifts"),
+    pytest.param(lambda tmp: _walkers_args(tmp, n_walker=5),
+                 "config.n_walker: unknown key", id="walkers-unknown-key"),
+    pytest.param(lambda tmp: _walkers_args(tmp, n_steps=2.5),
+                 "n_steps: expected int, got 2.5", id="walkers-wrong-type"),
+    pytest.param(lambda tmp: _walkers_args(tmp, output_dir=""),
+                 "output_dir", id="walkers-empty-output-dir"),
+    pytest.param(lambda tmp: _run_args(tmp, output_dir=""), "output_dir",
+                 id="run-empty-output-dir"),
 ])
 def test_bad_value_is_an_error_line(make_args, message, tmp_path, capsys):
     assert main(make_args(tmp_path)) == 1
@@ -346,8 +379,9 @@ class TestSweepCommand:
 class TestWalkersCommand:
     def test_walker_csv_written(self, tmp_path, capsys):
         out = tmp_path / "walkout"
-        code = main(["walkers", "--shift", "0", "3", "--leniency", "1.0",
-                     "--walkers", "5", "--steps", "100", "--out", str(out)])
+        code = main(_walkers_args(tmp_path, mean_shifts=[0, 3],
+                                  leniencies=[1.0], n_walkers=5, n_steps=100,
+                                  output_dir=str(out)))
         assert code == 0
         with open(out / "walkers.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -358,15 +392,12 @@ class TestWalkersCommand:
         for shift, line in zip((0.0, 3.0), lines):
             p_up = expected_increment_probability(1.0, shift)
             assert f"shift={shift:g} leniency=1 p_up={p_up:.4f} " in line
-
+        assert lines[-1] == f"wrote {out / 'walkers.csv'}"
 
     def test_defaults_are_the_ensemble_defaults(self):
-        args = build_parser().parse_args(["walkers"])
-        default = WalkerConfig()
-        assert (args.walkers, args.steps, tuple(args.leniency),
-                args.depression_strength, args.seed) == (
-            default.n_walkers, default.n_steps, default.leniencies,
-            default.depression_strength, default.seed)
+        # the committed file spells out every default and writes out/walkers
+        config = load_config(REPO_ROOT / "configs" / "walkers.json", WalkerConfig)
+        assert config == WalkerConfig(output_dir="out/walkers")
 
 
 class TestInspectCommand:
@@ -443,10 +474,11 @@ class TestEntryPoints:
         path = package_root + (os.pathsep + inherited if inherited else "")
         return {**os.environ, "PYTHONPATH": path}
 
-    def test_module_invocation(self):
+    def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
-            [sys.executable, "-m", "lossadapt", "walkers", "--shift", "0",
-             "--leniency", "2.0", "--walkers", "3", "--steps", "50"],
+            [sys.executable, "-m", "lossadapt",
+             *_walkers_args(tmp_path, mean_shifts=[0], leniencies=[2.0],
+                            n_walkers=3, n_steps=50)],
             capture_output=True,
             text=True,
             env=self.checkout_env(),

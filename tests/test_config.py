@@ -86,6 +86,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seeds must be >= 0"):
             config_from_dict({"seeds": [0, -1]})
 
+    def test_empty_output_dir(self):
+        # "" would write every file into the current directory
+        with pytest.raises(ConfigError, match="output_dir"):
+            config_from_dict({"output_dir": ""})
+
     def test_idx_needs_paths(self):
         with pytest.raises(ConfigError, match="train_images"):
             config_from_dict({"dataset": {"kind": "idx_files"}})
@@ -436,6 +441,29 @@ class TestKeyDoc:
             assert section in raw, section
             if key:
                 assert key in raw[section], f"{section}.{key}"
+
+    def test_parenthesised_defaults_are_the_defaults(self):
+        raw = config_to_dict(ExperimentConfig())
+        checked = 0
+        # a note closes its key's line or one of its continuation lines
+        for line in CONFIG_KEY_DOC.splitlines():
+            if not line[0].isspace():
+                section, _, key = line.split()[0].partition(".")
+                default = raw[section][key] if key else raw[section]
+            note = re.search(r"\(([^()]*)\)$", line)
+            # "(optional)" says the key may be left out, not what it holds
+            if note is None or note[1] == "optional":
+                continue
+            try:
+                stated = json.loads(note[1])
+            except json.JSONDecodeError:
+                # a bare word is a string default, such as (adam)
+                if not re.fullmatch(r"[a-z_]+", note[1]):
+                    continue  # a description, such as (circle of radius 4)
+                stated = note[1]
+            assert stated == default, line
+            checked += 1
+        assert checked == 27
 
 
 class TestCommittedConfigs:

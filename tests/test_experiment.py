@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 
-from lossadapt import experiment, optim
+from lossadapt import cli, experiment, optim
 from lossadapt.config import config_from_dict, load_config, serialize_config
 from lossadapt.errors import ConfigError, DataError, NumericError
 from lossadapt.experiment import (
@@ -962,3 +962,15 @@ def test_benchmark_tracer_hooks_exist(tmp_path, monkeypatch):
     assert set(calls) == set(tracer.names)
     # the trace is recorded as arrays; only the final state is snapshotted
     assert calls["trust.snapshot"] == 1
+
+
+def test_flag_threshold_matches_the_benchmark(monkeypatch):
+    # `run` and perfbench's flag_f1 each say "flagged" below a scale; until
+    # the package owns the one definition, the two thresholds must agree
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", PERFBENCH / "checks.py"
+    )
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.FLAG_SCALE == cli.FLAG_BELOW

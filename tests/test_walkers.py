@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestIncrementProbability:
 
     def test_simulated_fraction_matches(self):
         config = WalkerConfig(
-            mean_shift=1.0, n_walkers=50, n_steps=2000,
+            mean_shifts=(1.0,), n_walkers=50, n_steps=2000,
             leniencies=(0.5, 1.0, 2.0), seed=3,
         )
         rows = simulate_walkers(config)
@@ -74,7 +75,7 @@ class TestIncrementProbability:
 class TestEnsembleBehavior:
     def test_high_leniency_pins_walk(self):
         rows = simulate_walkers(
-            WalkerConfig(mean_shift=0.0, n_walkers=50, n_steps=2000,
+            WalkerConfig(mean_shifts=(0.0,), n_walkers=50, n_steps=2000,
                          leniencies=(3.0,), seed=0)
         )
         assert rows[0].mean_distrust < 1.0
@@ -82,7 +83,7 @@ class TestEnsembleBehavior:
 
     def test_infinite_leniency_exact_zero(self):
         rows = simulate_walkers(
-            WalkerConfig(mean_shift=3.0, n_walkers=10, n_steps=500,
+            WalkerConfig(mean_shifts=(3.0,), n_walkers=10, n_steps=500,
                          leniencies=(math.inf,), seed=0)
         )
         assert rows[0].mean_distrust == 0.0
@@ -91,7 +92,7 @@ class TestEnsembleBehavior:
 
     def test_shifted_walkers_accumulate_distrust(self):
         rows = simulate_walkers(
-            WalkerConfig(mean_shift=3.0, n_walkers=50, n_steps=2000,
+            WalkerConfig(mean_shifts=(3.0,), n_walkers=50, n_steps=2000,
                          leniencies=(1.0,), seed=0)
         )
         assert rows[0].mean_depression > 0.9
@@ -102,7 +103,7 @@ class TestEnsembleBehavior:
         p = expected_increment_probability(lam, shift)
         drift = 2 * p - 1
         rows = simulate_walkers(
-            WalkerConfig(mean_shift=shift, n_walkers=50, n_steps=steps,
+            WalkerConfig(mean_shifts=(shift,), n_walkers=50, n_steps=steps,
                          leniencies=(lam,), seed=1)
         )
         assert rows[0].mean_distrust == pytest.approx(drift * steps, rel=0.02)
@@ -111,7 +112,7 @@ class TestEnsembleBehavior:
         # same sample paths for every leniency: monotone without MC slack
         for seed in range(5):
             rows = simulate_walkers(
-                WalkerConfig(mean_shift=1.0, n_walkers=20, n_steps=1000,
+                WalkerConfig(mean_shifts=(1.0,), n_walkers=20, n_steps=1000,
                              leniencies=(0.5, 1.0, 1.5, 2.0, 3.0), seed=seed)
             )
             values = [r.mean_distrust for r in rows]
@@ -121,7 +122,7 @@ class TestEnsembleBehavior:
         finals = []
         for shift in (0.0, 1.0, 2.0, 3.0):
             rows = simulate_walkers(
-                WalkerConfig(mean_shift=shift, n_walkers=50, n_steps=2000,
+                WalkerConfig(mean_shifts=(shift,), n_walkers=50, n_steps=2000,
                              leniencies=(1.5,), seed=7)
             )
             finals.append(rows[0].mean_distrust)
@@ -129,15 +130,27 @@ class TestEnsembleBehavior:
 
     def test_time_average_at_most_peakish(self):
         rows = simulate_walkers(
-            WalkerConfig(mean_shift=2.0, n_walkers=20, n_steps=1000,
+            WalkerConfig(mean_shifts=(2.0,), n_walkers=20, n_steps=1000,
                          leniencies=(0.5,), seed=0)
         )
         # steady positive drift: time average is about half the final value
         assert 0.0 < rows[0].mean_time_avg_distrust < rows[0].mean_distrust
 
     def test_deterministic(self):
-        config = WalkerConfig(mean_shift=1.0, n_walkers=10, n_steps=500, seed=5)
+        config = WalkerConfig(mean_shifts=(1.0,), n_walkers=10, n_steps=500,
+                              seed=5)
         assert simulate_walkers(config) == simulate_walkers(config)
+
+    def test_shifts_are_single_shift_ensembles_in_order(self):
+        # each shift redraws walker w's path from the same stream, so one
+        # config's rows are its single-shift configs' rows, concatenated
+        config = WalkerConfig(mean_shifts=(2.0, 0.5), n_walkers=6, n_steps=300,
+                              leniencies=(1.0, 0.5), seed=4)
+        first, second = (simulate_walkers(replace(config, mean_shifts=(s,)))
+                         for s in config.mean_shifts)
+        rows = simulate_walkers(config)
+        assert rows == first + second
+        assert [r.mean_shift for r in rows] == [2.0, 2.0, 0.5, 0.5]
 
 
 class TestConfigAndCsv:
@@ -155,9 +168,11 @@ class TestConfigAndCsv:
             {"leniencies": ()},
             {"leniencies": (1.0, math.nan)},
             {"depression_strength": 0.0},
-            {"mean_shift": math.nan},
-            {"mean_shift": math.inf},
+            {"mean_shifts": (math.nan,)},
+            {"mean_shifts": (math.inf,)},
             {"seed": -1},
+            {"mean_shifts": ()},
+            {"output_dir": ""},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -166,11 +181,11 @@ class TestConfigAndCsv:
 
     def test_csv_schema(self, tmp_path):
         rows = simulate_walkers(
-            WalkerConfig(mean_shift=1.0, n_walkers=5, n_steps=200,
+            WalkerConfig(mean_shifts=(1.0,), n_walkers=5, n_steps=200,
                          leniencies=(0.5, 1.5), seed=0)
         )
         rows += simulate_walkers(
-            WalkerConfig(mean_shift=2.0, n_walkers=5, n_steps=200,
+            WalkerConfig(mean_shifts=(2.0,), n_walkers=5, n_steps=200,
                          leniencies=(0.5, 1.5), seed=0)
         )
         path = tmp_path / "walkers.csv"
