@@ -122,8 +122,7 @@ def _cmd_run(args) -> int:
             except KeyError:
                 pass
         trace = run.trace
-        scales = trace.gradient_scales()
-        final, lowest = scales[-1], scales.min(axis=0)
+        final, lowest = trace.final_and_lowest_scales()
         corrupt = trace.corrupt
         if corrupt.any():
             ids = [s for s, bad in zip(trace.source_ids, corrupt) if bad]
@@ -151,6 +150,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_walkers(args) -> int:
     config = load_config(args.config, WalkerConfig)
+    if config.output_dir:
+        # made before the first ensemble, as `run` and `sweep` make theirs
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
     rows = simulate_walkers(config)
     for row in rows:
         p_up = expected_increment_probability(row.leniency, row.mean_shift)
@@ -160,8 +163,6 @@ def _cmd_walkers(args) -> int:
             f"mean_depression={row.mean_depression:.4f}"
         )
     if config.output_dir:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_walker_csv(rows, out / "walkers.csv")
         print(f"wrote {out / 'walkers.csv'}")
     return 0

@@ -169,6 +169,22 @@ class Trace:
         out[: self.depressed_from] = 1.0
         return out
 
+    def final_and_lowest_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each source's gradient scale after the last step, and its lowest
+        over the run: the last row and the column minima of
+        :meth:`gradient_scales`, without building the whole matrix."""
+        final = np.ones(len(self.source_ids))
+        lowest = final.copy()
+        for start, values, index in self._blocks():
+            depressed = index[max(self.depressed_from - start, 0):]
+            if len(depressed):
+                levels, inverse = _distinct(values)
+                scales = np.array(_scales(levels, self.depression_strength))
+                block = scales[inverse[depressed]]
+                np.minimum(lowest, block.min(axis=0), out=lowest)
+                final = block[-1]
+        return final, lowest
+
 
 def _distinct(values: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The distinct levels in ``values``, ascending, and the index of each

@@ -6,6 +6,13 @@ a block of :data:`CHUNK` values at a time: every operation of the update
 rule runs over one block, into preallocated block-sized scratch, before the
 next block starts, so the working set stays in cache and no step allocates
 temporary arrays.
+A vector long enough to give every span at least two blocks is cut into one
+contiguous span per CPU the process may use, and the spans run at the same
+time, each with its own scratch: the calling thread takes the first, and a
+pool of threads, made at the first such step, the rest (numpy's ufuncs
+release the GIL). Every value still goes through the same operations in the
+same order, whichever span holds it, so the outputs do not depend on the
+number of CPUs.
 The floating-point operations and their order are those of the textbook
 per-array rule, so the updates are bit-identical to it. Optimizer state
 (momentum, moments) is one vector of the same layout.
@@ -19,6 +26,8 @@ estimates accumulate the attenuated values rather than being bypassed.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ConfigError
@@ -26,12 +35,74 @@ from .models import GradientSet, ParameterSet, check_congruent
 from .trust import SourceRegistry, scale_gradients
 
 # Values per block of the fused update loops. Adam touches six blocks per
-# pass (parameters, gradients, two moments, two scratch): 6 x 128 KiB, which
-# fits in a 1-2 MiB per-core L2 cache.
-CHUNK = 16384
+# pass (parameters, gradients, two moments, two scratch): 6 x 256 KiB, which
+# fits in a 2 MiB per-core L2 cache. Shorter blocks make each ufunc call so
+# short that two spans spend the step handing the GIL back and forth.
+CHUNK = 32768
+
+# the threads that run every span but the first, as many as the first step
+# that splits needs (a later step with more spans queues the extra ones); a
+# forked child drops the pool, since its threads are not there
+_pool = None
 
 
-class SGD:
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _FusedUpdate:
+    """The span split shared by the fused optimizers: a subclass's
+    ``_update(p, g, lo, hi, scratch)`` runs its block loop over
+    ``p[lo:hi]`` and ``g[lo:hi]``, with scratch of ``_SCRATCH_SHAPE``
+    followed by one block."""
+
+    _SCRATCH_SHAPE: tuple[int, ...] = ()
+    _scratch: tuple[np.ndarray, ...] = ()  # one array per span
+
+    def _run(self, p: np.ndarray, g: np.ndarray) -> None:
+        size = p.size
+        # one span per CPU, but more than one only if each gets two blocks
+        blocks = size // (2 * CHUNK)
+        n = min(blocks, _cpu_count()) if blocks > 1 else 1
+        if len(self._scratch) != n:
+            shape = (*self._SCRATCH_SHAPE, min(size, CHUNK))
+            self._scratch = tuple(np.empty(shape) for _ in range(n))
+        if n == 1:
+            self._update(p, g, 0, size, self._scratch[0])
+            return
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        global _pool
+        if _pool is None:
+            _pool = ThreadPoolExecutor(n - 1, "lossadapt-span")
+        edges = [size * i // n for i in range(n + 1)]
+        futures = [
+            _pool.submit(self._update, p, g, edges[i], edges[i + 1], self._scratch[i])
+            for i in range(1, n)
+        ]
+        try:
+            self._update(p, g, 0, edges[1], self._scratch[0])
+        finally:
+            # no span may still write p once the step returns or raises
+            wait(futures)
+        for future in futures:
+            future.result()  # re-raises a worker's exception here
+
+
+class SGD(_FusedUpdate):
     """Stochastic gradient descent with optional momentum and weight decay.
 
     With momentum m > 0 keeps a velocity vector: v = m*v + g; p -= lr*v.
@@ -50,20 +121,21 @@ class SGD:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self._velocity: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: GradientSet) -> None:
         check_congruent(params, grads)
         p, g = params.flat, grads.flat
-        if self._scratch is None:
-            self._scratch = np.empty(min(p.size, CHUNK))
-            if self.momentum > 0.0:
-                self._velocity = np.zeros_like(p)
+        if self.momentum > 0.0 and self._velocity is None:
+            self._velocity = np.zeros_like(p)
+        self._run(p, g)
+
+    def _update(self, p: np.ndarray, g: np.ndarray, lo: int, hi: int,
+                scratch: np.ndarray) -> None:
         lr, momentum, decay = self.learning_rate, self.momentum, self.weight_decay
-        for start in range(0, p.size, CHUNK):
-            stop = start + CHUNK
+        for start in range(lo, hi, CHUNK):
+            stop = min(start + CHUNK, hi)
             pc, gc = p[start:stop], g[start:stop]
-            tmp = self._scratch[: pc.size]
+            tmp = scratch[: pc.size]
             if decay > 0.0:
                 np.multiply(pc, decay, out=tmp)
                 tmp += gc
@@ -78,12 +150,14 @@ class SGD:
             pc -= tmp
 
 
-class Adam:
+class Adam(_FusedUpdate):
     """Adam with bias-corrected first and second moment estimates.
 
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g²;  t += 1
     p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
     """
+
+    _SCRATCH_SHAPE = (2,)  # numerator and denominator
 
     def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -102,23 +176,25 @@ class Adam:
         self.t = 0
         self._flat_m: np.ndarray | None = None
         self._flat_v: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
 
     def step(self, params: ParameterSet, grads: GradientSet) -> None:
         check_congruent(params, grads)
         p, g = params.flat, grads.flat
         if self._flat_m is None:
             self._flat_m, self._flat_v = np.zeros_like(p), np.zeros_like(p)
-            self._scratch = np.empty((2, min(p.size, CHUNK)))
         self.t += 1
+        self._run(p, g)
+
+    def _update(self, p: np.ndarray, g: np.ndarray, lo: int, hi: int,
+                scratch: np.ndarray) -> None:
         b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for start in range(0, p.size, CHUNK):
-            stop = start + CHUNK
+        for start in range(lo, hi, CHUNK):
+            stop = min(start + CHUNK, hi)
             pc, gc = p[start:stop], g[start:stop]
             mc, vc = self._flat_m[start:stop], self._flat_v[start:stop]
-            num, den = self._scratch[:, : pc.size]
+            num, den = scratch[:, : pc.size]
             mc *= b1
             np.multiply(gc, 1.0 - b1, out=num)
             mc += num

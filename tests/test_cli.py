@@ -263,6 +263,10 @@ def _unparsable_trace(tmp_path):
     pytest.param(lambda tmp: _run_args(
                      tmp, output_dir=str(_written(tmp / "taken", b""))),
                  1, "File exists", id="out-is-a-file"),
+    pytest.param(lambda tmp: _walkers_args(
+                     tmp, n_walkers=5, n_steps=10,
+                     output_dir=str(_written(tmp / "taken", b""))),
+                 1, "File exists", id="walkers-out-is-a-file"),
     pytest.param(lambda tmp: ["inspect-trace", str(tmp)], 2,
                  "is not a trace CSV", id="trace-is-a-directory"),
     pytest.param(_unparsable_trace, 2, "is not a trace CSV",

@@ -5,6 +5,8 @@ import importlib.util
 import io
 import os
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace as dc_replace
@@ -745,6 +747,15 @@ def test_config_sidecar_matches_golden_hashes(variant, tmp_path):
     assert digest == GOLDEN_CONFIG_HASHES[variant]
 
 
+@pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS))
+def test_final_and_lowest_scales_are_the_scale_matrix_summary(variant):
+    for run in run_experiment(golden_config(variant)):
+        scales = run.trace.gradient_scales()
+        final, lowest = run.trace.final_and_lowest_scales()
+        assert final.tolist() == scales[-1].tolist()
+        assert lowest.tolist() == scales.min(axis=0).tolist()
+
+
 @pytest.mark.parametrize("variant", ["lap_off", "hold_off", "flip"])
 def test_trace_csv_matches_csv_writer_rendering(variant, tmp_path):
     trace = run_single(golden_config(variant), 0).trace
@@ -864,6 +875,16 @@ class TestTraceWriter:
         ]
         assert trace.gradient_scales().tolist() == expected
 
+    @pytest.mark.parametrize("lap", [True, False], ids=["lap_on", "lap_off"])
+    @pytest.mark.parametrize("steps", [1, TRACE_BLOCK, 1031])
+    def test_final_and_lowest_scales_match_the_scale_matrix(self, steps, lap):
+        # depression switches on a third of the way in, inside a block
+        trace = hand_built_trace(steps, lap=lap, flip_step=None, seed=steps)
+        scales = trace.gradient_scales()
+        final, lowest = trace.final_and_lowest_scales()
+        assert final.tolist() == scales[-1].tolist()
+        assert lowest.tolist() == scales.min(axis=0).tolist()
+
     @pytest.mark.parametrize("steps", [1, 1031])
     @pytest.mark.parametrize("bad", ["below", "above"])
     def test_levels_outside_the_walk_are_refused(self, steps, bad, tmp_path):
@@ -962,6 +983,77 @@ def test_benchmark_tracer_hooks_exist(tmp_path, monkeypatch):
     assert set(calls) == set(tracer.names)
     # the trace is recorded as arrays; only the final state is snapshotted
     assert calls["trust.snapshot"] == 1
+
+
+def mnist_shaped_config():
+    """One short epoch at 784-256-128-10: more than 4 * CHUNK parameters, so
+    on two CPUs the optimizer update takes two spans."""
+    centers = [[((c + 1) * i % 11 - 5) / 10 for i in range(784)] for c in range(10)]
+    config = small_config(
+        dataset={"n_classes": 10, "n_per_class": 8, "centers": centers},
+        model={"layer_widths": [784, 256, 128, 10]},
+        training={"epochs": 1, "batch_size": 16},
+    )
+    widths = config.model.layer_widths
+    assert sum((a + 1) * b for a, b in zip(widths, widths[1:])) > 4 * optim.CHUNK
+    return config
+
+
+def record_update_threads(monkeypatch) -> set:
+    """The threads that run ``Adam._update`` from now on."""
+    threads = set()
+    update = optim.Adam._update
+
+    def recording(self, *args):
+        threads.add(threading.get_ident())
+        update(self, *args)
+
+    monkeypatch.setattr(optim.Adam, "_update", recording)
+    return threads
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    config = mnist_shaped_config()
+    threads = record_update_threads(monkeypatch)
+    for cpus in (1, 2):
+        monkeypatch.setattr(optim, "_cpu_count", lambda: cpus)
+        run_experiment(config, out_dir=tmp_path / str(cpus))
+    assert len(threads) == 2  # the two-CPU run split its updates
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        one, two = (tmp_path / "1" / name), (tmp_path / "2" / name)
+        assert one.read_bytes() == two.read_bytes(), name
+
+
+def test_benchmark_tracer_spans_stay_on_the_main_thread(tmp_path, monkeypatch):
+    # the tracer keeps one stack of open spans, so no function it wraps may
+    # run on another thread, also where the optimizer update splits
+    monkeypatch.setattr(sys, "path", list(sys.path))  # worker.py extends it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", PERFBENCH / "worker.py"
+    )
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    # every span reads the tracer's clock at its start and end
+    clock_threads = set()
+
+    def clock():
+        clock_threads.add(threading.get_ident())
+        return time.perf_counter()
+
+    monkeypatch.setattr(sys.modules[worker.Tracer.__module__], "perf_counter", clock)
+    monkeypatch.setattr(optim, "_cpu_count", lambda: 2)
+    update_threads = record_update_threads(monkeypatch)
+    tracer = worker.Tracer()
+    worker._install_tracer(tracer)
+    try:
+        run_experiment(mnist_shaped_config(), out_dir=tmp_path)
+    finally:
+        tracer.restore()
+    assert len(update_threads) == 2
+    assert clock_threads == {threading.main_thread().ident}
+    assert worker.summarize(tracer.spans())["min_self_s"] >= 0
 
 
 def test_flag_threshold_matches_the_benchmark(monkeypatch):

@@ -1,8 +1,14 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from lossadapt import optim
 from lossadapt.errors import ConfigError, ShapeError
 from lossadapt.models import GradientSet, ParameterSet
 from lossadapt.optim import CHUNK, SGD, Adam, LapOptimizer
@@ -283,19 +289,24 @@ class ReferenceAdam:
 
 
 # 2 full blocks and an uneven tail; no parameter boundary on a block edge
-LAYOUT_SHAPES = [(130, 200), (1, 200), (200, 37), (1, 37)]
+LAYOUT_SHAPES = [(260, 200), (1, 200), (200, 67), (1, 67)]
+# over 4 blocks, so two CPUs take two spans, with an uneven tail; no
+# parameter boundary on a block edge or on the span edge
+SPLIT_LAYOUT_SHAPES = [(300, 400), (1, 400), (400, 37), (1, 37)]
+# each layout with the CPU count the update sees
+LAYOUTS = [(LAYOUT_SHAPES, 1), (SPLIT_LAYOUT_SHAPES, 2)]
 N_STEPS = 6
 
 
-def random_arrays(rng):
-    return [rng.normal(size=shape) for shape in LAYOUT_SHAPES]
+def random_arrays(rng, shapes=LAYOUT_SHAPES):
+    return [rng.normal(size=shape) for shape in shapes]
 
 
-def gradient_stream(seed):
+def gradient_stream(seed, shapes=LAYOUT_SHAPES):
     # magnitudes from 1e-6 to 1e3 exercise eps and the square root
     rng = np.random.default_rng(seed)
     return [
-        [g * 10.0 ** rng.uniform(-6, 3) for g in random_arrays(rng)]
+        [g * 10.0 ** rng.uniform(-6, 3) for g in random_arrays(rng, shapes)]
         for _ in range(N_STEPS)
     ]
 
@@ -303,6 +314,13 @@ def gradient_stream(seed):
 def test_layout_crosses_block_edges():
     n = sum(math.prod(shape) for shape in LAYOUT_SHAPES)
     assert n > 2 * CHUNK and n % CHUNK
+
+
+def test_split_layout_crosses_span_and_block_edges():
+    sizes = [math.prod(shape) for shape in SPLIT_LAYOUT_SHAPES]
+    n = sum(sizes)
+    assert n > 4 * CHUNK and n % CHUNK
+    assert n // 2 not in np.cumsum(sizes)
 
 
 @pytest.mark.parametrize(
@@ -320,27 +338,146 @@ def test_layout_crosses_block_edges():
     ],
     ids=["sgd", "sgd_momentum", "sgd_weight_decay", "sgd_momentum_weight_decay", "adam"],
 )
-def test_fused_update_is_bit_identical_to_per_array_rule(fused, reference, kwargs):
-    start = random_arrays(np.random.default_rng(0))
-    params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
-    ref_params = [a.copy() for a in start]
-    opt, ref = fused(**kwargs), reference(**kwargs)
-    for grads in gradient_stream(1):
-        opt.step(params, GradientSet(params.names, grads))
-        ref.step(ref_params, grads)
-        for got, want in zip(params.arrays, ref_params):
-            np.testing.assert_array_equal(got, want)
+def test_fused_update_is_bit_identical_to_per_array_rule(
+    fused, reference, kwargs, monkeypatch
+):
+    for shapes, cpus in LAYOUTS:
+        monkeypatch.setattr(optim, "_cpu_count", lambda: cpus)
+        start = random_arrays(np.random.default_rng(0), shapes)
+        params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
+        ref_params = [a.copy() for a in start]
+        opt, ref = fused(**kwargs), reference(**kwargs)
+        for grads in gradient_stream(1, shapes):
+            opt.step(params, GradientSet(params.names, grads))
+            ref.step(ref_params, grads)
+            for got, want in zip(params.arrays, ref_params):
+                np.testing.assert_array_equal(got, want)
 
 
-def test_lap_adam_is_bit_identical_to_scaled_per_array_rule():
-    start = random_arrays(np.random.default_rng(2))
+def test_lap_adam_is_bit_identical_to_scaled_per_array_rule(monkeypatch):
+    for shapes, cpus in LAYOUTS:
+        monkeypatch.setattr(optim, "_cpu_count", lambda: cpus)
+        start = random_arrays(np.random.default_rng(2), shapes)
+        params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
+        ref_params = [a.copy() for a in start]
+        lap = LapOptimizer(Adam(0.01), full_registry(2, 2, distrust={0: 200.0}))
+        ref = ReferenceAdam(0.01)
+        for grads in gradient_stream(3, shapes):
+            scale = lap.step(params, GradientSet(params.names, grads), 9.0, 0)
+            assert 0.0 < scale < 1.0
+            ref.step(ref_params, [scale * g for g in grads])
+            for got, want in zip(params.arrays, ref_params):
+                np.testing.assert_array_equal(got, want)
+
+
+# -- the span split ---------------------------------------------------------
+
+
+def split_step_inputs():
+    """A parameter and gradient set of the split layout."""
+    rng = np.random.default_rng(4)
+    start = random_arrays(rng, SPLIT_LAYOUT_SHAPES)
     params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
+    return params, GradientSet(params.names, random_arrays(rng, SPLIT_LAYOUT_SHAPES))
+
+
+def test_small_vectors_take_one_span_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(optim, "_cpu_count", lambda: 8)
+    threads = set()
+    update = Adam._update
+
+    def recording(self, *args):
+        threads.add(threading.current_thread())
+        update(self, *args)
+
+    monkeypatch.setattr(Adam, "_update", recording)
+    n = 4 * CHUNK - 1  # each of two spans would get less than two blocks
+    params = params_of(np.zeros(n))
+    opt = Adam()
+    opt.step(params, grads_like(params, 1.0))
+    assert threads == {threading.main_thread()}
+    assert [s.shape for s in opt._scratch] == [(2, CHUNK)]
+
+
+def test_more_spans_than_cores_under_a_short_switch_interval(monkeypatch):
+    # eight spans on seven pool threads, switching threads every microsecond:
+    # a span that wrote outside its own values would lose or repeat updates
+    monkeypatch.setattr(optim, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(optim, "_pool", None)  # the old pool comes back after
+    rng = np.random.default_rng(5)
+    shapes = [(16 * CHUNK + 123,)]
+    start = random_arrays(rng, shapes)
+    params = ParameterSet(("w",), start)
     ref_params = [a.copy() for a in start]
-    lap = LapOptimizer(Adam(0.01), full_registry(2, 2, distrust={0: 200.0}))
-    ref = ReferenceAdam(0.01)
-    for grads in gradient_stream(3):
-        scale = lap.step(params, GradientSet(params.names, grads), 9.0, 0)
-        assert 0.0 < scale < 1.0
-        ref.step(ref_params, [scale * g for g in grads])
-        for got, want in zip(params.arrays, ref_params):
-            np.testing.assert_array_equal(got, want)
+    opt, ref = Adam(0.01), ReferenceAdam(0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            grads = random_arrays(rng, shapes)
+            opt.step(params, GradientSet(params.names, grads))
+            ref.step(ref_params, grads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(opt._scratch) == 8
+    np.testing.assert_array_equal(params.arrays[0], ref_params[0])
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(optim, "_cpu_count", lambda: 2)
+    raised_on = []
+
+    class Failing(Adam):
+        def _update(self, p, g, lo, hi, scratch):
+            if lo > 0:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError(f"span from {lo} failed")
+            super()._update(p, g, lo, hi, scratch)
+
+    params, grads = split_step_inputs()
+    with pytest.raises(RuntimeError, match="span from 67618 failed"):
+        Failing().step(params, grads)
+    assert raised_on and raised_on[0] is not threading.main_thread()
+
+
+def test_step_that_raises_returns_after_every_span(monkeypatch):
+    # a step that raises on the calling thread still waits for the other
+    # spans, so nothing writes the parameters after it returns
+    monkeypatch.setattr(optim, "_cpu_count", lambda: 2)
+    finished = threading.Event()
+
+    class Failing(Adam):
+        def _update(self, p, g, lo, hi, scratch):
+            if lo == 0:
+                raise RuntimeError("first span failed")
+            time.sleep(0.2)
+            super()._update(p, g, lo, hi, scratch)
+            finished.set()
+
+    params, grads = split_step_inputs()
+    with pytest.raises(RuntimeError, match="first span failed"):
+        Failing().step(params, grads)
+    assert finished.is_set()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+def test_forked_child_can_take_a_split_step(monkeypatch):
+    # the child inherits the pool object but not its thread; a step that
+    # queued its span there would wait for ever, so the alarm kills it
+    monkeypatch.setattr(optim, "_cpu_count", lambda: 2)
+    params, grads = split_step_inputs()
+    opt = Adam()
+    opt.step(params, grads)
+    assert optim._pool is not None
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child exits here
+        code = 1
+        try:
+            signal.alarm(5)
+            opt.step(params, grads)
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
