@@ -73,10 +73,14 @@ class Trace:
     A step moves only the stepping source's distrust, and by at most 1:
     distrust is a count, a ±1 walk from 0 held at 0. So the log alone gives
     every source's level at every step, which :attr:`distrust` rebuilds a
-    :data:`TRACE_BLOCK` of steps at a time. A log that no such walk makes (a
-    column outside ``source_ids``, a negative level, or a level more than 1
-    from its column's previous level) raises :class:`DataError`, naming the
-    step and the column. Columns follow ``source_ids``, in registration
+    :data:`TRACE_BLOCK` of steps at a time. Every reader first replays the
+    log in step order (:meth:`check`), then rebuilds each block once. A log
+    that no such walk makes (a column outside ``source_ids``, a negative
+    level, or a level more than 1 from its column's previous level) raises
+    :class:`DataError`, naming its first bad step and that step's column.
+    The trace is also the record of the gradient scales a run applied:
+    read them with :meth:`final_and_lowest_scales` or
+    :meth:`gradient_scales`. Columns follow ``source_ids``, in registration
     order. A trace holds only the schedules of the paper: a corrupt source
     turns clean at most once, and depression, once on, stays on.
 
@@ -105,28 +109,39 @@ class Trace:
         self.depressed_from = steps
 
     def check(self) -> None:
-        """Raise :class:`DataError` at the first step whose event no walk
-        makes, naming the step and the column."""
-        for _ in self._blocks():
-            pass
+        """Replay the log in step order, raising :class:`DataError` at the
+        first step whose event no walk makes, naming the step and the
+        column."""
+        n = len(self.source_ids)
+        row = [0] * n
+        for start in range(0, len(self.level), TRACE_BLOCK):
+            stop = start + TRACE_BLOCK
+            events = zip(self.column[start:stop].tolist(),
+                         self.level[start:stop].tolist())
+            for step, (column, level) in enumerate(events, start):
+                if not 0 <= column < n:
+                    raise DataError(
+                        f"step {step}: column {column} lies outside "
+                        f"[0, {n}), the trace's {n} sources"
+                    )
+                if level < 0 or abs(level - row[column]) > 1:
+                    raise DataError(
+                        f"step {step}, column {column}: distrust moves "
+                        f"from {row[column]} to {level}, but a step moves it "
+                        f"by at most 1 and never below 0"
+                    )
+                row[column] = level
 
     def _blocks(self):
         """Yield ``(start, values, index)`` for each :data:`TRACE_BLOCK` of
-        steps, after refusing the block's events: ``values[index]`` is the
-        block's ``(rows, n_sources)`` distrust, and ``values`` holds the row
-        before the block and then the block's levels, so every level in the
-        block is one of them."""
+        steps of a checked log: ``values[index]`` is the block's ``(rows,
+        n_sources)`` distrust, and ``values`` holds the row before the block
+        and then the block's levels, so every level in the block is one of
+        them."""
         n = len(self.source_ids)
         last = np.zeros(n, dtype=np.int32)
         for start in range(0, len(self.level), TRACE_BLOCK):
             column = self.column[start:start + TRACE_BLOCK]
-            outside = (column < 0) | (column >= n)
-            if outside.any():
-                i = int(np.argmax(outside))
-                raise DataError(
-                    f"step {start + i}: column {column[i]} lies outside "
-                    f"[0, {n}), the trace's {n} sources"
-                )
             rows = np.arange(len(column))
             values = np.concatenate([last, self.level[start:start + TRACE_BLOCK]])
             # each cell's index into values: its column's last event so far
@@ -134,18 +149,6 @@ class Trace:
             index = np.tile(np.arange(n), (len(column), 1))
             index[rows, column] = n + rows
             np.maximum.accumulate(index, axis=0, out=index)
-            # each event's level before it, in the row above; the first bad
-            # event's is a level the walk reached, so nothing overflows
-            before = values[np.append(column[:1], index[rows[:-1], column[1:]])]
-            level = values[n:]
-            bad = (level < 0) | (np.abs(level - before) > 1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DataError(
-                    f"step {start + i}, column {column[i]}: distrust moves "
-                    f"from {before[i]} to {level[i]}, but a step moves it by "
-                    f"at most 1 and never below 0"
-                )
             yield start, values, index
             last = values[index[-1]]
 
@@ -153,6 +156,7 @@ class Trace:
     def distrust(self) -> np.ndarray:
         """Every source's distrust after every step, rebuilt from the log:
         a read-only int32 ``(steps, n_sources)`` array."""
+        self.check()
         out = np.empty((len(self.level), len(self.source_ids)), dtype=np.int32)
         for start, values, index in self._blocks():
             out[start:start + len(index)] = values[index]
@@ -161,6 +165,7 @@ class Trace:
 
     def gradient_scales(self) -> np.ndarray:
         """(steps, n_sources) gradient scale of every source at every step."""
+        self.check()
         out = np.empty((len(self.level), len(self.source_ids)))
         for start, values, index in self._blocks():
             levels, inverse = _distinct(values)
@@ -173,6 +178,7 @@ class Trace:
         """Each source's gradient scale after the last step, and its lowest
         over the run: the last row and the column minima of
         :meth:`gradient_scales`, without building the whole matrix."""
+        self.check()
         final = np.ones(len(self.source_ids))
         lowest = final.copy()
         for start, values, index in self._blocks():
@@ -204,7 +210,6 @@ class RunResult:
     records: list[MetricsRecord]
     trace: Trace
     corrupt_source_ids: frozenset[int]
-    final_scales: dict[int, float]
     final_distrust: dict[int, float]
     params: object = None
 
@@ -380,14 +385,12 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
                 )
             )
 
-    final = optimizer.snapshot()
     return RunResult(
         seed=seed,
         records=records,
         trace=trace,
         corrupt_source_ids=prep.plan.corrupt_source_ids,
-        final_scales={s: scale for s, _, scale in final},
-        final_distrust={s: distrust for s, distrust, _ in final},
+        final_distrust=registry.snapshot(),
         params=params,
     )
 

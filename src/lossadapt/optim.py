@@ -245,11 +245,3 @@ class LapOptimizer:
         """Whether ``step`` scales gradients now: the wrapper is enabled and
         the registry is past warm-up and hold-off."""
         return self.enabled and self.registry.depression_active
-
-    def snapshot(self) -> list[tuple[int, float, float]]:
-        """The registry's (source_id, distrust, gradient_scale) rows, with
-        the scale this wrapper applies: 1.0 for every source while disabled."""
-        rows = self.registry.snapshot()
-        if self.enabled:
-            return rows
-        return [(s, distrust, 1.0) for s, distrust, _ in rows]

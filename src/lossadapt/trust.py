@@ -312,15 +312,10 @@ class SourceRegistry:
             float(self._distrust[row]), self.params.depression_strength
         )
 
-    def snapshot(self) -> list[tuple[int, float, float]]:
-        """(source_id, distrust, gradient_scale) for every source, in
-        registration order."""
-        active = self.depression_active
-        strength = self.params.depression_strength
-        return [
-            (s, r, 1.0 - depression_value(r, strength) if active else 1.0)
-            for s, r in zip(self._ids, self._distrust.tolist())
-        ]
+    def snapshot(self) -> dict[int, float]:
+        """Every source's distrust, by source id. The scale a run applied is
+        its trace's: :meth:`experiment.Trace.final_and_lowest_scales`."""
+        return dict(zip(self._ids, self._distrust.tolist()))
 
 
 def scale_gradients(grads: GradientSet, depression: float) -> GradientSet:

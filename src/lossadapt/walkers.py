@@ -30,6 +30,9 @@ from .rng import child_rng
 from .trust import depression_value
 
 WALKER_CSV_COLUMNS = ("leniency", "mean_shift", "mean_distrust", "mean_depression")
+# n_walkers * n_steps: each leniency's buffers hold about 58 bytes per cell,
+# so the bound is about 0.6 GB; the default ensemble is 10**6 cells
+MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,11 @@ class WalkerConfig:
             raise ConfigError(f"n_walkers must be >= 1, got {self.n_walkers}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_walkers * self.n_steps > MAX_CELLS:
+            raise ConfigError(
+                f"n_walkers * n_steps must be <= {MAX_CELLS}, got "
+                f"{self.n_walkers} * {self.n_steps}"
+            )
         if len(self.leniencies) == 0:
             raise ConfigError("leniencies grid must be nonempty")
         if any(math.isnan(v) for v in self.leniencies):

@@ -249,13 +249,15 @@ def test_criterion_04_source_identification(lap_runs):
     good_seeds = 0
     details = []
     for result in lap_runs:
-        ids = sorted(result.final_scales)
-        scales = np.array([result.final_scales[s] for s in ids])
+        final_scales = dict(zip(result.trace.source_ids,
+                                result.trace.final_and_lowest_scales()[0].tolist()))
+        ids = sorted(final_scales)
+        scales = np.array([final_scales[s] for s in ids])
         bottom = {ids[i] for i in np.argsort(scales)[:4]}
         corrupt = set(result.corrupt_source_ids)
-        corrupt_scales = [result.final_scales[s] for s in corrupt]
+        corrupt_scales = [final_scales[s] for s in corrupt]
         clean_scales = [
-            result.final_scales[s] for s in ids if s not in corrupt
+            final_scales[s] for s in ids if s not in corrupt
         ]
         ok = (
             bottom == corrupt
@@ -341,8 +343,10 @@ def test_criterion_07_recovery_after_flip():
     for seed in SEEDS:
         result = run_single(cfg, seed)
         flipped = result.corrupt_source_ids
+        final_scales = dict(zip(result.trace.source_ids,
+                                result.trace.final_and_lowest_scales()[0].tolist()))
         mean_scale = float(
-            np.mean([result.final_scales[s] for s in flipped])
+            np.mean([final_scales[s] for s in flipped])
         )
         columns = [result.trace.source_ids.index(s) for s in flipped]
         trough = float(result.trace.gradient_scales()[:, columns].min())

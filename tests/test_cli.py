@@ -315,6 +315,9 @@ def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
                  "n_steps: expected int, got 2.5", id="walkers-wrong-type"),
     pytest.param(lambda tmp: _walkers_args(tmp, output_dir=""),
                  "output_dir", id="walkers-empty-output-dir"),
+    pytest.param(lambda tmp: _walkers_args(tmp, n_walkers=1001),
+                 "n_walkers * n_steps must be <= 10000000, got 1001 * 10000",
+                 id="walkers-too-many-cells"),
     pytest.param(lambda tmp: _run_args(tmp, output_dir=""), "output_dir",
                  id="run-empty-output-dir"),
 ])

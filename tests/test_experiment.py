@@ -160,7 +160,8 @@ class TestRunSingle:
         a = run_single(config, 5)
         b = run_single(config, 5)
         assert a.corrupt_source_ids == b.corrupt_source_ids
-        assert a.final_scales == b.final_scales
+        assert (a.trace.final_and_lowest_scales()[0].tolist()
+                == b.trace.final_and_lowest_scales()[0].tolist())
         assert [r.accuracy for r in a.records] == [r.accuracy for r in b.records]
 
     def test_nan_aborts_with_context(self):
@@ -291,7 +292,8 @@ class TestFlipAndFlags:
         assert len(traced) == 3
         assert set(traced).isdisjoint(result.corrupt_source_ids)
         assert result.trace.distrust.shape[1] == 3
-        assert set(traced) == set(result.final_scales)
+        assert result.trace.final_and_lowest_scales()[0].shape == (3,)
+        assert set(traced) == set(result.final_distrust)
 
     def test_upsample_equalizes_step_counts(self):
         # batch size 1, so one step per item and unequal sources would step
@@ -326,10 +328,9 @@ class TestTrace:
         assert trace.distrust[-1].tolist() == [
             result.final_distrust[s] for s in trace.source_ids
         ]
-        assert trace.gradient_scales()[-1].tolist() == [
-            result.final_scales[s] for s in trace.source_ids
-        ]
-        assert min(result.final_scales.values()) < 1.0
+        final, _ = trace.final_and_lowest_scales()
+        assert trace.gradient_scales()[-1].tolist() == final.tolist()
+        assert final.min() < 1.0
 
     def test_scales_are_one_until_depression_applies(self):
         trace = run_single(small_config(lap={"hold_off": 20}), 0).trace
@@ -474,7 +475,8 @@ class TestParity:
     def test_disabled_lap_scales_are_one(self):
         config = small_config(lap={"enabled": False, "history_length": 5})
         result = run_single(config, 0)
-        assert all(v == 1.0 for v in result.final_scales.values())
+        final, lowest = result.trace.final_and_lowest_scales()
+        assert (final == 1.0).all() and (lowest == 1.0).all()
         assert (result.trace.gradient_scales() == 1.0).all()
 
     def test_hold_off_past_the_run_equals_lap_off(self, tmp_path):
@@ -701,10 +703,26 @@ def test_outputs_match_golden_hashes(variant, tmp_path):
 def test_final_trust_state_is_the_trace_last_row(variant):
     for run in run_experiment(golden_config(variant)):
         trace = run.trace
-        last_scales = trace.gradient_scales()[-1].tolist()
         last_distrust = trace.distrust[-1].tolist()
-        assert run.final_scales == dict(zip(trace.source_ids, last_scales))
         assert run.final_distrust == dict(zip(trace.source_ids, last_distrust))
+
+
+def test_registry_snapshot_is_its_distrust(monkeypatch):
+    snapshot = SourceRegistry.snapshot
+    seen = []
+
+    def record(registry):
+        seen.append((registry, snapshot(registry)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(SourceRegistry, "snapshot", record)
+    run = run_single(small_config(), 0)
+    [(registry, snap)] = seen
+    assert snap == dict(
+        zip(registry.source_ids, registry.distrust_levels.tolist())
+    )
+    assert run.final_distrust == snap
+    assert max(snap.values()) > 0
 
 
 # SHA-256 of metrics.csv and trace_seed0.csv of the full identification run
@@ -830,6 +848,8 @@ def assert_refused(trace, match, tmp_path):
     with pytest.raises(DataError, match=match):
         trace.distrust
     with pytest.raises(DataError, match=match):
+        trace.final_and_lowest_scales()
+    with pytest.raises(DataError, match=match):
         write_trace_csv(trace, tmp_path / "trace.csv")
     assert not (tmp_path / "trace.csv").exists()
 
@@ -911,6 +931,18 @@ class TestTraceWriter:
         assert_refused(
             trace,
             rf"step {steps // 2}: column {column} lies outside \[0, 4\)",
+            tmp_path,
+        )
+
+    def test_the_first_bad_step_is_named(self, tmp_path):
+        # a bad level at step 5 and a bad column at step 9, in one block
+        trace = Trace((3, 7, 11, 12), 20, 1.5, frozenset(), None)
+        trace.level[5] = 2
+        trace.column[9] = 4
+        assert_refused(
+            trace,
+            r"step 5, column 0: distrust moves from 0 to 2, but a step "
+            r"moves it by at most 1 and never below 0",
             tmp_path,
         )
 

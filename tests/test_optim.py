@@ -212,26 +212,6 @@ class TestLapOptimizer:
         scale = opt.step(p, grads_like(p, 1.0), 9.0, 0)
         assert scale == pytest.approx(1.0 - reg.depression(0))
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_snapshot_reports_applied_scales(self, enabled):
-        reg = SourceRegistry.from_histories(
-            {0: [1.0, 1.0], 1: [1.0, 3.0], 2: [1.0, 1.0]},
-            params=LapParams(history_length=2),
-            distrust={1: 300.0},
-        )
-        opt = LapOptimizer(SGD(learning_rate=0.1), reg, enabled=enabled)
-        p = params_of([1.0])
-        for _ in range(3):
-            opt.step(p, grads_like(p, 1.0), 9.0, 1)
-        snap = opt.snapshot()
-        # distrust walks with the wrapper on or off
-        assert [(s, r) for s, r, _ in snap] == [(0, 0.0), (1, 303.0), (2, 0.0)]
-        if enabled:
-            assert snap == reg.snapshot()
-            assert snap[1][2] < 0.5
-        else:
-            assert [scale for _, _, scale in snap] == [1.0, 1.0, 1.0]
-
 
 # -- fused optimizers against the per-array rule ----------------------------
 

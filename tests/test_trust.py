@@ -344,11 +344,7 @@ class TestDepression:
             params=LapParams(history_length=2),
             distrust={1: 200.0},
         )
-        snap = reg.snapshot()
-        assert snap[0] == (0, 0.0, 1.0)
-        assert snap[1][0] == 1
-        assert snap[1][1] == 200.0
-        assert snap[1][2] == pytest.approx(1.0 - 0.5800256583859739)
+        assert reg.snapshot() == {0: 0.0, 1: 200.0}
 
 
 class TestScaleGradients:

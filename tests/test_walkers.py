@@ -173,6 +173,7 @@ class TestConfigAndCsv:
             {"seed": -1},
             {"mean_shifts": ()},
             {"output_dir": ""},
+            {"n_walkers": 1001, "n_steps": 10_000},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
