@@ -83,6 +83,16 @@ def _add_walkers_parser(sub):
     return p
 
 
+def _at_least_one(text: str) -> int:
+    """``--last``'s value: a whole number of steps, at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _add_inspect_parser(sub):
     p = sub.add_parser(
         "inspect-trace",
@@ -90,7 +100,7 @@ def _add_inspect_parser(sub):
         description="Print per-source distrust and gradient scale at the last step.",
     )
     p.add_argument("trace", metavar="TRACE.csv")
-    p.add_argument("--last", type=int, default=1, metavar="N",
+    p.add_argument("--last", type=_at_least_one, default=1, metavar="N",
                    help="average over the last N steps (default 1)")
     return p
 
@@ -173,7 +183,6 @@ def _cmd_inspect_trace(args) -> int:
     if not path.exists():
         print(f"error: no such trace file: {path}", file=sys.stderr)
         return 2
-    window = max(args.last, 1)
     # source -> [rows, distrust sum, scale sum, last is_corrupt]
     per_source: dict[int, list] = {}
     # two streamed passes: the first finds the last step, the second sums
@@ -185,7 +194,7 @@ def _cmd_inspect_trace(args) -> int:
             if set(reader.fieldnames or ()) != set(TRACE_CSV_COLUMNS):
                 raise ValueError("not the trace columns")
             last_step = max(int(r["step"]) for r in reader)
-        cutoff = last_step - window + 1
+        cutoff = last_step - args.last + 1
         with open(path, newline="") as fh:
             for r in csv.DictReader(fh):
                 if int(r["step"]) >= cutoff:
@@ -198,7 +207,7 @@ def _cmd_inspect_trace(args) -> int:
         print(f"error: {path} is not a trace CSV", file=sys.stderr)
         return 2
     print(f"steps 0..{last_step}, {len(per_source)} sources, "
-          f"averaging last {window} step(s)")
+          f"averaging last {args.last} step(s)")
     for source in sorted(per_source):
         n, distrust, scale, corrupt = per_source[source]
         tag = " corrupt" if corrupt == "1" else ""

@@ -72,17 +72,17 @@ class Trace:
 
     A step moves only the stepping source's distrust, and by at most 1:
     distrust is a count, a ±1 walk from 0 held at 0. So the log alone gives
-    every source's level at every step, which :attr:`distrust` rebuilds a
-    :data:`TRACE_BLOCK` of steps at a time. Every reader first replays the
-    log in step order (:meth:`check`), then rebuilds each block once. A log
-    that no such walk makes (a column outside ``source_ids``, a negative
-    level, or a level more than 1 from its column's previous level) raises
-    :class:`DataError`, naming its first bad step and that step's column.
-    The trace is also the record of the gradient scales a run applied:
-    read them with :meth:`final_and_lowest_scales` or
-    :meth:`gradient_scales`. Columns follow ``source_ids``, in registration
-    order. A trace holds only the schedules of the paper: a corrupt source
-    turns clean at most once, and depression, once on, stays on.
+    every source's level, and the gradient scale the run applied, at every
+    step. The log is read through :meth:`final_and_lowest_scales` and
+    :func:`write_trace_csv`, which rebuild it a :data:`TRACE_BLOCK` of steps
+    at a time. Every reader first replays the log in step order
+    (:meth:`check`), then rebuilds each block once. A log that no such walk
+    makes (a column outside ``source_ids``, a negative level, or a level
+    more than 1 from its column's previous level) raises :class:`DataError`,
+    naming its first bad step and that step's column. Columns follow
+    ``source_ids``, in registration order. A trace holds only the schedules
+    of the paper: a corrupt source turns clean at most once, and
+    depression, once on, stays on.
 
     column          int32 (steps,): the stepping source's column
     level           int32 (steps,): that source's distrust after the step
@@ -152,32 +152,10 @@ class Trace:
             yield start, values, index
             last = values[index[-1]]
 
-    @property
-    def distrust(self) -> np.ndarray:
-        """Every source's distrust after every step, rebuilt from the log:
-        a read-only int32 ``(steps, n_sources)`` array."""
-        self.check()
-        out = np.empty((len(self.level), len(self.source_ids)), dtype=np.int32)
-        for start, values, index in self._blocks():
-            out[start:start + len(index)] = values[index]
-        out.flags.writeable = False
-        return out
-
-    def gradient_scales(self) -> np.ndarray:
-        """(steps, n_sources) gradient scale of every source at every step."""
-        self.check()
-        out = np.empty((len(self.level), len(self.source_ids)))
-        for start, values, index in self._blocks():
-            levels, inverse = _distinct(values)
-            scales = np.array(_scales(levels, self.depression_strength))
-            out[start:start + len(index)] = scales[inverse[index]]
-        out[: self.depressed_from] = 1.0
-        return out
-
     def final_and_lowest_scales(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each source's gradient scale after the last step, and its lowest
-        over the run: the last row and the column minima of
-        :meth:`gradient_scales`, without building the whole matrix."""
+        """Each source's gradient scale at the last step, and its lowest over
+        the run: the last row and the column minima of the applied scales
+        (1.0 before ``depressed_from``), without building the whole matrix."""
         self.check()
         final = np.ones(len(self.source_ids))
         lowest = final.copy()
@@ -211,7 +189,6 @@ class RunResult:
     trace: Trace
     corrupt_source_ids: frozenset[int]
     final_distrust: dict[int, float]
-    params: object = None
 
     def final_accuracy(self, split: str) -> float:
         for record in reversed(self.records):
@@ -313,11 +290,6 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
     )
 
 
-def total_steps(config: ExperimentConfig, seed: int = 0) -> int:
-    """Planned optimizer steps for a full run (epochs * steps per epoch)."""
-    return config.training.epochs * prepare_run(config, seed).steps_per_epoch
-
-
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     prep = prepare_run(config, seed)
     train, val, test = prep.train, prep.val, prep.test
@@ -391,7 +363,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         trace=trace,
         corrupt_source_ids=prep.plan.corrupt_source_ids,
         final_distrust=registry.snapshot(),
-        params=params,
     )
 
 

@@ -140,9 +140,6 @@ class ParameterSet:
     def shapes(self) -> list[tuple[int, ...]]:
         return list(self._layout.shapes)
 
-    def n_values(self) -> int:
-        return self.flat.size
-
 
 # Gradients use the same container as parameters, shape-congruent entry by
 # entry and in the same order.

@@ -176,22 +176,6 @@ class SourceRegistry:
                 f"source {source} is not registered (known: {self._ids})"
             ) from None
 
-    def history(self, source: int) -> np.ndarray:
-        """Entries recorded for ``source`` so far, oldest to newest."""
-        row = self._require(source)
-        h = self.params.history_length
-        count = self._counts[row]
-        if count < h:
-            return self._losses[row, :count].copy()
-        nxt = self._next[row]
-        return np.concatenate([self._losses[row, nxt:], self._losses[row, :nxt]])
-
-    def history_len(self, source: int) -> int:
-        return self._counts[self._require(source)]
-
-    def distrust(self, source: int) -> float:
-        return float(self._distrust[self._require(source)])
-
     @property
     def distrust_levels(self) -> np.ndarray:
         """Every source's distrust, in registration order, as a read-only

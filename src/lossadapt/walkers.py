@@ -82,16 +82,13 @@ class WalkerRow:
     """Ensemble summary at one (leniency, shift) grid point.
 
     ``mean_distrust``/``mean_depression`` average the final-step values over
-    walkers; ``mean_time_avg_distrust`` and ``increment_fraction`` are extra
-    diagnostics and not part of the CSV schema.
+    walkers.
     """
 
     leniency: float
     mean_shift: float
     mean_distrust: float
     mean_depression: float
-    increment_fraction: float
-    mean_time_avg_distrust: float
 
 
 def clamped_walk(steps: np.ndarray) -> np.ndarray:
@@ -116,10 +113,8 @@ def simulate_walkers(config: WalkerConfig) -> list[WalkerRow]:
         for w in range(config.n_walkers):
             samples[w] = child_rng(config.seed, w).normal(shift, 1.0, config.n_steps)
         for lam in config.leniencies:
-            exceed = samples > lam
-            steps = np.where(exceed, 1, -1)
-            traj = clamped_walk(steps)
-            final_r = traj[:, -1].astype(np.float64)
+            steps = np.where(samples > lam, 1, -1)
+            final_r = clamped_walk(steps)[:, -1].astype(np.float64)
             final_d = np.array(
                 [depression_value(r, config.depression_strength) for r in final_r]
             )
@@ -129,8 +124,6 @@ def simulate_walkers(config: WalkerConfig) -> list[WalkerRow]:
                     mean_shift=shift,
                     mean_distrust=float(final_r.mean()),
                     mean_depression=float(final_d.mean()),
-                    increment_fraction=float(exceed.mean()),
-                    mean_time_avg_distrust=float(traj.mean()),
                 )
             )
     return rows

@@ -1,8 +1,13 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and test oracles.
 
 test_acceptance.py appends its one-line verdicts here; printing them from a
 terminal-summary hook keeps them visible under pytest's fd-level capture,
 where even direct writes to the underlying stdout would be swallowed.
+
+The oracles rebuild what a run recorded without the package's own readers:
+a trace's distrust and scale matrices by a plain forward fill of its log,
+a run's planned step count from its prepared plan, and a registry's loss
+history from its ring buffer.
 """
 
 import csv
@@ -12,6 +17,9 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from lossadapt.experiment import prepare_run
+from lossadapt.trust import depression_value
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -54,6 +62,41 @@ def file_dataset_sections(tmp_path: Path) -> dict:
                 csv.writer(fh).writerows(np.column_stack([x, y]).tolist())
             sections["csv"]["path"] = str(table)
     return sections
+
+
+def replay(trace):
+    """Every source's level after every step, replayed one event at a time."""
+    row = [0] * len(trace.source_ids)
+    rows = []
+    for column, level in zip(trace.column.tolist(), trace.level.tolist()):
+        row[column] = level
+        rows.append(list(row))
+    return rows
+
+
+def scale_rows(trace):
+    """Every source's gradient scale at every step, cell by cell from
+    :func:`replay`: 1 - depression from ``depressed_from`` on, 1.0 before."""
+    strength = trace.depression_strength
+    return [
+        [1.0 - depression_value(d, strength) if step >= trace.depressed_from
+         else 1.0 for d in row]
+        for step, row in enumerate(replay(trace))
+    ]
+
+
+def planned_steps(config, seed=0):
+    """The optimizer steps a full run of ``config`` at ``seed`` takes."""
+    return config.training.epochs * prepare_run(config, seed).steps_per_epoch
+
+
+def registry_history(registry, source):
+    """The losses ``registry`` holds for ``source``, oldest to newest, read
+    from its ring buffer."""
+    row = registry.source_ids.index(source)
+    losses = registry._losses[row].tolist()
+    nxt = registry._next[row]
+    return (losses[nxt:] + losses[:nxt])[len(losses) - registry._counts[row]:]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

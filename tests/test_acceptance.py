@@ -33,7 +33,6 @@ from lossadapt.config import config_from_dict
 from lossadapt.experiment import (
     run_experiment,
     run_single,
-    total_steps,
 )
 from lossadapt.models import (
     ModelSpec,
@@ -149,7 +148,7 @@ def test_criterion_01_gradient_finite_difference():
     _check(
         1,
         worst < 1e-4 and elapsed < 5.0,
-        f"max relative error {worst:.3e} over {params.n_values()} coordinates "
+        f"max relative error {worst:.3e} over {params.flat.size} coordinates "
         f"(bound 1e-4), {elapsed:.1f}s (bound 5s)",
     )
 
@@ -334,7 +333,7 @@ def test_criterion_07_recovery_after_flip():
         dataset=replace(base.dataset, spread=2.5),
         lap=replace(base.lap, leniency=1.3, history_length=10),
     )
-    flip = total_steps(cfg) // 2
+    flip = conftest.planned_steps(cfg) // 2
     cfg = cfg.replace(sources=replace(cfg.sources, reliability_flip_step=flip))
 
     good_seeds = 0
@@ -349,7 +348,7 @@ def test_criterion_07_recovery_after_flip():
             np.mean([final_scales[s] for s in flipped])
         )
         columns = [result.trace.source_ids.index(s) for s in flipped]
-        trough = float(result.trace.gradient_scales()[:, columns].min())
+        trough = float(result.trace.final_and_lowest_scales()[1][columns].min())
         finals.append(mean_scale)
         troughs.append(trough)
         good_seeds += mean_scale > 0.99

@@ -13,6 +13,7 @@ import pytest
 
 import conftest
 import lossadapt
+from conftest import replay, scale_rows
 from lossadapt.cli import build_parser, main
 from lossadapt.config import load_config
 from lossadapt.experiment import TRACE_CSV_COLUMNS, run_experiment
@@ -178,7 +179,7 @@ class TestRunCommand:
         flagged_any = recovered_any = False
         for run, line in zip(runs, lines):
             trace = run.trace
-            scales = trace.gradient_scales()
+            scales = np.array(scale_rows(trace))
             final, lowest = scales[-1], scales.min(axis=0)
             ids = np.array(trace.source_ids)
             corrupt = trace.corrupt
@@ -431,8 +432,8 @@ class TestInspectCommand:
         assert lines[0] == f"steps 0..{steps - 1}, 4 sources, averaging last 3 step(s)"
         means = zip(
             trace.source_ids,
-            trace.distrust[-3:].mean(axis=0),
-            trace.gradient_scales()[-3:].mean(axis=0),
+            np.mean(replay(trace)[-3:], axis=0),
+            np.mean(scale_rows(trace)[-3:], axis=0),
             trace.corrupt & (steps - 1 < trace.clean_from),
         )
         assert lines[1:] == [
@@ -457,6 +458,14 @@ class TestInspectCommand:
             sources.append(lines)
         assert len(sources[0]) == 4
         assert sources[1:] == sources[:1] * 2
+
+    @pytest.mark.parametrize("last", ["0", "-1", "two"])
+    def test_last_must_be_a_positive_integer(self, last, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect-trace", str(tmp_path / "none.csv"), "--last", last])
+        assert exc.value.code == 2
+        assert (f"argument --last: expected an integer >= 1, got '{last}'"
+                in capsys.readouterr().err)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["inspect-trace", str(tmp_path / "none.csv")])

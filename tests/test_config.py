@@ -17,8 +17,8 @@ from lossadapt.config import (
 from lossadapt.corruption import CorruptionSpec
 from lossadapt.datasets import BlobSpec, make_blobs
 from lossadapt.errors import ConfigError
-from lossadapt.experiment import total_steps
 from lossadapt.trust import LapParams
+from conftest import planned_steps
 from test_acceptance import SEEDS, _identification_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -487,7 +487,7 @@ class TestCommittedConfigs:
             dataset=replace(base.dataset, spread=2.5),
             lap=replace(base.lap, leniency=1.3, history_length=10),
         )
-        flip = total_steps(judged) // 2
+        flip = planned_steps(judged) // 2
         judged = judged.replace(
             sources=replace(judged.sources, reliability_flip_step=flip)
         )

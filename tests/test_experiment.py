@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import planned_steps, replay, scale_rows
 
 from lossadapt import cli, experiment, optim
 from lossadapt.config import config_from_dict, load_config, serialize_config
@@ -29,11 +30,10 @@ from lossadapt.experiment import (
     run_experiment,
     run_single,
     sweep,
-    total_steps,
     write_trace_csv,
 )
 from lossadapt.models import evaluate
-from lossadapt.trust import SourceRegistry, depression_value
+from lossadapt.trust import SourceRegistry
 from test_acceptance import _identification_config
 
 overhead = conftest.load_script("run_overhead_scaling")
@@ -72,17 +72,17 @@ class TestRunSingle:
     def test_trace_has_row_per_source_per_step(self):
         config = small_config()
         result = run_single(config, 0)
-        steps = total_steps(config)
+        steps = planned_steps(config)
         trace = result.trace
         assert trace.source_ids == (0, 1, 2, 3, 4)
         assert trace.column.shape == trace.level.shape == (steps,)
-        assert trace.distrust.shape == (steps, 5)
+        assert ((trace.column >= 0) & (trace.column < 5)).all()
         assert trace.corrupt.shape == (5,)
         assert trace.clean_from == steps
         assert 0 <= trace.depressed_from <= steps
-        scales = trace.gradient_scales()
+        scales = np.array(scale_rows(trace))
         assert ((scales > 0.0) & (scales <= 1.0)).all()
-        assert (trace.distrust >= 0.0).all()
+        assert (trace.level >= 0).all()
         corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
         assert trace.corrupt.tolist() == corrupt
 
@@ -102,7 +102,7 @@ class TestRunSingle:
         assert max(per_epoch) - min(per_epoch) <= 1
         assert prep.steps_per_epoch == sum(per_epoch)
         result = run_single(config, 3)
-        steps = len(result.trace.distrust)
+        steps = len(result.trace.level)
         assert steps == config.training.epochs * prep.steps_per_epoch
 
     def test_exhausted_sources_are_skipped(self, monkeypatch):
@@ -123,31 +123,30 @@ class TestRunSingle:
 
         monkeypatch.setattr(SourceRegistry, "record_loss", counting)
         result = run_single(config, 0)
-        assert len(result.trace.distrust) == config.training.epochs * 33
+        assert len(result.trace.level) == config.training.epochs * 33
         assert [steps[s] for s in prep.source_ids] == [14, 14, 14, 12, 12]
 
-    def test_total_steps_builds_no_model_or_optimizer(self, monkeypatch):
-        config = small_config()
-        steps = len(run_single(config, 0).trace.distrust)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("total_steps built a model or an optimizer")
-
-        monkeypatch.setattr(experiment, "init_params", refuse)
-        monkeypatch.setattr(experiment, "LapOptimizer", refuse)
-        assert total_steps(config) == steps
-
-    def test_evaluation_uses_clean_splits(self):
-        # recompute every final-epoch metric from the stored clean arrays
+    def test_evaluation_uses_clean_splits(self, monkeypatch):
+        # recompute every final-epoch metric from the stored clean arrays,
+        # with the parameters the run trained in place
         config = small_config(
             sources={"n_sources": 5, "n_corrupt": 4, "mode": "replace_gaussian_noise"}
         )
+        made = []
+        init_params = experiment.init_params
+
+        def recording(*args):
+            made.append(init_params(*args))
+            return made[-1]
+
+        monkeypatch.setattr(experiment, "init_params", recording)
         result = run_single(config, 1)
+        (params,) = made
         prep = prepare_run(config, 1)
         for split_name, data in (
             ("train", prep.train), ("val", prep.val), ("test", prep.test)
         ):
-            loss, acc = evaluate(result.params, config.model, data.x, data.y)
+            loss, acc = evaluate(params, config.model, data.x, data.y)
             record = [
                 r for r in result.records
                 if r.split == split_name and r.epoch == 1
@@ -193,7 +192,7 @@ class TestFlipAndFlags:
         )
         result = run_single(config, 0)
         trace = result.trace
-        steps = np.arange(len(trace.distrust))
+        steps = np.arange(len(trace.level))
         is_corrupt = trace.corrupt & (steps[:, None] < trace.clean_from)
         before_flip = steps < 10
         for column, source in enumerate(trace.source_ids):
@@ -238,7 +237,7 @@ class TestFlipAndFlags:
         )
         result = run_single(config, 0)
         trace = result.trace
-        steps = len(trace.distrust)
+        steps = len(trace.level)
         assert len(applied) == steps
 
         np.testing.assert_array_equal(
@@ -273,7 +272,7 @@ class TestFlipAndFlags:
         result = run_single(config, 2)
         corrupt = next(iter(result.corrupt_source_ids))
         trace = result.trace
-        peak = trace.distrust[:, trace.source_ids.index(corrupt)].max()
+        peak = trace.level[trace.column == trace.source_ids.index(corrupt)].max()
         final = result.final_distrust[corrupt]
         assert peak > 20.0
         assert final < peak / 2
@@ -291,7 +290,7 @@ class TestFlipAndFlags:
         traced = result.trace.source_ids
         assert len(traced) == 3
         assert set(traced).isdisjoint(result.corrupt_source_ids)
-        assert result.trace.distrust.shape[1] == 3
+        assert set(result.trace.column.tolist()) == {0, 1, 2}
         assert result.trace.final_and_lowest_scales()[0].shape == (3,)
         assert set(traced) == set(result.final_distrust)
 
@@ -314,40 +313,39 @@ class TestFlipAndFlags:
             np.testing.assert_array_equal(items[: sizes[s]], prep.plan.items_of(s))
             assert set(items.tolist()) == set(prep.plan.items_of(s).tolist())
         assert prep.steps_per_epoch == len(prep.source_ids) * target
-        assert total_steps(config) == prep.steps_per_epoch
         result = run_single(config, 0)
-        assert result.trace.distrust.shape == (
-            prep.steps_per_epoch, len(prep.source_ids)
-        )
+        assert len(result.trace.level) == prep.steps_per_epoch
+        assert result.trace.source_ids == prep.source_ids
 
 
 class TestTrace:
     def test_last_step_matches_final_state(self):
         result = run_single(small_config(), 0)
         trace = result.trace
-        assert trace.distrust[-1].tolist() == [
+        assert replay(trace)[-1] == [
             result.final_distrust[s] for s in trace.source_ids
         ]
         final, _ = trace.final_and_lowest_scales()
-        assert trace.gradient_scales()[-1].tolist() == final.tolist()
+        assert scale_rows(trace)[-1] == final.tolist()
         assert final.min() < 1.0
 
-    def test_scales_are_one_until_depression_applies(self):
+    def test_scales_are_one_until_depression_applies(self, tmp_path):
         trace = run_single(small_config(lap={"hold_off": 20}), 0).trace
         first = trace.depressed_from
-        assert 0 < first < len(trace.distrust)
-        scales = trace.gradient_scales()
+        assert 0 < first < len(trace.level)
+        scales = written_scales(trace, tmp_path / "on.csv")
         # distrust walks during warm-up and hold-off; the scales stay 1.0
-        assert (trace.distrust[:first] > 0.0).any()
+        assert (trace.level[:first] > 0).any()
         assert (scales[:first] == 1.0).all()
         assert (scales[first:] < 1.0).any()
 
         off = run_single(small_config(lap={"enabled": False}), 0).trace
-        assert (off.distrust > 0.0).any()
-        assert off.depressed_from == len(off.distrust)
-        assert (off.gradient_scales() == 1.0).all()
+        assert (off.level > 0).any()
+        assert off.depressed_from == len(off.level)
+        assert (written_scales(off, tmp_path / "off.csv") == 1.0).all()
 
-    def test_log_replays_to_the_registry_final_levels(self, monkeypatch):
+    def test_log_replays_to_the_registry_final_levels(self, monkeypatch,
+                                                      tmp_path):
         registries = []
 
         class Recording(SourceRegistry):
@@ -360,20 +358,26 @@ class TestTrace:
         (registry,) = registries
         assert (registry.distrust_levels > 0).any()
         assert replay(trace)[-1] == registry.distrust_levels.tolist()
-        assert trace.distrust.tolist() == replay(trace)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
 
-    def test_gradient_scales_allocates_only_its_result(self):
-        trace = Trace(range(40), 20_000, 4.0, frozenset(), None)
-        random_walk(trace, seed=0)
-        trace.depressed_from = 1000
-        trace.gradient_scales()  # the first call's one-off imports and caches
-        tracemalloc.start()
-        try:
-            scales = trace.gradient_scales()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < scales.nbytes + 2**20
+    def test_final_and_lowest_scales_build_no_whole_trace_array(self):
+        def peak_bytes(steps):
+            trace = Trace(range(40), steps, 4.0, frozenset(), None)
+            random_walk(trace, seed=0)
+            trace.depressed_from = steps // 20
+            tracemalloc.start()
+            try:
+                trace.final_and_lowest_scales()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(TRACE_BLOCK)  # the first call's one-off imports and caches
+        short, long = peak_bytes(20_000), peak_bytes(40_000)
+        # the (steps, 40) float64 scales would take 6.4 and 12.8 MB
+        assert short < 2**20
+        assert long < 1.1 * short
 
 
 class TestFileDatasets:
@@ -437,7 +441,7 @@ class TestPersistence:
         with open(tmp_path / "trace_seed0.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(TRACE_CSV_COLUMNS)
-        assert len(rows) == 1 + total_steps(config) * 5
+        assert len(rows) == 1 + planned_steps(config) * 5
         for row in rows[1:4]:
             assert row[4] in ("0", "1")
 
@@ -477,13 +481,13 @@ class TestParity:
         result = run_single(config, 0)
         final, lowest = result.trace.final_and_lowest_scales()
         assert (final == 1.0).all() and (lowest == 1.0).all()
-        assert (result.trace.gradient_scales() == 1.0).all()
+        assert result.trace.depressed_from == len(result.trace.level)
 
     def test_hold_off_past_the_run_equals_lap_off(self, tmp_path):
         # while depression is held off, LAP only watches: every gradient
         # and so every output file is the LAP-off run's
         config = small_config(seeds=[0, 1])
-        steps = max(total_steps(config, seed) for seed in config.seeds)
+        steps = max(planned_steps(config, seed) for seed in config.seeds)
         held = config.replace(lap=dc_replace(config.lap, hold_off=steps))
         off = config.replace(lap=dc_replace(config.lap, enabled=False))
         run_experiment(held, out_dir=tmp_path / "held")
@@ -703,7 +707,7 @@ def test_outputs_match_golden_hashes(variant, tmp_path):
 def test_final_trust_state_is_the_trace_last_row(variant):
     for run in run_experiment(golden_config(variant)):
         trace = run.trace
-        last_distrust = trace.distrust[-1].tolist()
+        last_distrust = replay(trace)[-1]
         assert run.final_distrust == dict(zip(trace.source_ids, last_distrust))
 
 
@@ -725,6 +729,38 @@ def test_registry_snapshot_is_its_distrust(monkeypatch):
     assert max(snap.values()) > 0
 
 
+def test_golden_runs_make_no_distrust_ties(monkeypatch):
+    # the rule steps +1 when mean_own >= mean_others + leniency * std_others,
+    # so where the peer std is 0 or mean_own lies on the threshold, the step
+    # hangs on how the sums round (ROADMAP item 4). No golden run comes near
+    # one, so a tie policy cannot move their hashes; a config change that
+    # makes a tie shows here first.
+    updates, zero_std, on_threshold = Counter(), [], []
+    update_distrust = SourceRegistry.update_distrust
+
+    def checking(registry, source):
+        mean_others, std_others = registry.weighted_other_stats(source)
+        threshold = mean_others + registry.params.leniency * std_others
+        mean_own = registry.source_mean(source)
+        updates[variant] += 1
+        if std_others == 0:
+            zero_std.append((variant, source, mean_own))
+        if abs(mean_own - threshold) <= 1e-12 * abs(threshold):
+            on_threshold.append((variant, source, mean_own, threshold))
+        return update_distrust(registry, source)
+
+    monkeypatch.setattr(SourceRegistry, "update_distrust", checking)
+    for variant in GOLDEN_VARIANTS:
+        run_experiment(golden_config(variant))
+    assert updates == {
+        variant: 152 if variant == "exclude_corrupt" else 252
+        for variant in GOLDEN_VARIANTS
+    }
+    assert sum(updates.values()) == 1664
+    assert zero_std == []
+    assert on_threshold == []
+
+
 # SHA-256 of metrics.csv and trace_seed0.csv of the full identification run
 # (acceptance criterion 4, benchmark workload W1) at seed 0, with numpy 2.4.6
 # on x86-64
@@ -737,7 +773,7 @@ IDENTIFICATION_HASHES = (
 def test_identification_outputs_match_golden_hashes(tmp_path):
     config = _identification_config().replace(seeds=(0,))
     (run,) = run_experiment(config, out_dir=tmp_path)
-    assert run.trace.distrust.shape == (4500, 10)
+    assert (len(run.trace.level), len(run.trace.source_ids)) == (4500, 10)
     hashes = tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("metrics.csv", "trace_seed0.csv")
@@ -768,7 +804,7 @@ def test_config_sidecar_matches_golden_hashes(variant, tmp_path):
 @pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS))
 def test_final_and_lowest_scales_are_the_scale_matrix_summary(variant):
     for run in run_experiment(golden_config(variant)):
-        scales = run.trace.gradient_scales()
+        scales = np.array(scale_rows(run.trace))
         final, lowest = run.trace.final_and_lowest_scales()
         assert final.tolist() == scales[-1].tolist()
         assert lowest.tolist() == scales.min(axis=0).tolist()
@@ -782,25 +818,29 @@ def test_trace_csv_matches_csv_writer_rendering(variant, tmp_path):
 
 
 def csv_writer_rendering(trace):
-    """The trace file as ``csv.writer`` renders the arrays cell by cell, each
-    scale computed from its own distrust, without the trace's level lookup."""
+    """The trace file as ``csv.writer`` renders :func:`conftest.replay` and
+    :func:`conftest.scale_rows` cell by cell, without the trace's fill or its
+    level lookup."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(TRACE_CSV_COLUMNS)
     corrupt = trace.corrupt.tolist()
-    for step, distrust in enumerate(trace.distrust.tolist()):
-        for source, d, flag in zip(trace.source_ids, distrust, corrupt):
-            applied = step >= trace.depressed_from
+    for step, (distrust, scales) in enumerate(zip(replay(trace),
+                                                  scale_rows(trace))):
+        for source, d, scale, flag in zip(trace.source_ids, distrust, scales,
+                                          corrupt):
             c = flag and step < trace.clean_from
-            scale = 1.0 - depression_value(d, trace.depression_strength)
-            writer.writerow([
-                step,
-                source,
-                f"{d:g}",
-                f"{scale if applied else 1.0:.10g}",
-                int(c),
-            ])
+            writer.writerow([step, source, f"{d:g}", f"{scale:.10g}", int(c)])
     return buf.getvalue().encode()
+
+
+def written_scales(trace, path):
+    """The ``gradient_scale`` column of the trace's CSV, as a ``(steps,
+    n_sources)`` array."""
+    write_trace_csv(trace, path)
+    with open(path, newline="") as fh:
+        scales = [float(row["gradient_scale"]) for row in csv.DictReader(fh)]
+    return np.array(scales).reshape(len(trace.level), len(trace.source_ids))
 
 
 def random_walk(trace, seed):
@@ -820,16 +860,6 @@ def random_walk(trace, seed):
     trace.level[:] = levels
 
 
-def replay(trace):
-    """Every source's level after every step, replayed one event at a time."""
-    row = [0] * len(trace.source_ids)
-    rows = []
-    for column, level in zip(trace.column.tolist(), trace.level.tolist()):
-        row[column] = level
-        rows.append(list(row))
-    return rows
-
-
 def hand_built_trace(steps, lap, flip_step, seed=0):
     """A random walk of 4 sources, two of them corrupt."""
     trace = Trace((3, 7, 11, 12), steps, 1.5, frozenset({7, 12}), flip_step)
@@ -843,10 +873,6 @@ def hand_built_trace(steps, lap, flip_step, seed=0):
 def assert_refused(trace, match, tmp_path):
     """Every reader of the log refuses it, and the CSV writer before it
     creates the file."""
-    with pytest.raises(DataError, match=match):
-        trace.gradient_scales()
-    with pytest.raises(DataError, match=match):
-        trace.distrust
     with pytest.raises(DataError, match=match):
         trace.final_and_lowest_scales()
     with pytest.raises(DataError, match=match):
@@ -874,36 +900,29 @@ class TestTraceWriter:
         [1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 3 * TRACE_BLOCK + 5],
         ids=["one", "block-1", "block", "block+1", "3block+5"],
     )
-    def test_distrust_matches_a_step_by_step_replay(self, steps, n_sources):
+    def test_distrust_matches_a_step_by_step_replay(self, steps, n_sources,
+                                                    tmp_path):
         # with more sources than steps in a block, most columns take no
         # event in a block and carry the row before it
         trace = Trace(range(n_sources), steps, 1.5, frozenset(), None)
         random_walk(trace, seed=steps)
-        assert trace.distrust.tolist() == replay(trace)
-
-    @pytest.mark.parametrize("steps", [0, 1, 1031])
-    def test_gradient_scales_match_each_cell(self, steps):
-        trace = hand_built_trace(steps, lap=True, flip_step=None, seed=steps)
-        strength = trace.depression_strength
-        expected = [
-            [
-                1.0 - depression_value(d, strength)
-                if step >= trace.depressed_from else 1.0
-                for d in row
-            ]
-            for step, row in enumerate(replay(trace))
-        ]
-        assert trace.gradient_scales().tolist() == expected
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_rendering(trace)
 
     @pytest.mark.parametrize("lap", [True, False], ids=["lap_on", "lap_off"])
     @pytest.mark.parametrize("steps", [1, TRACE_BLOCK, 1031])
     def test_final_and_lowest_scales_match_the_scale_matrix(self, steps, lap):
         # depression switches on a third of the way in, inside a block
         trace = hand_built_trace(steps, lap=lap, flip_step=None, seed=steps)
-        scales = trace.gradient_scales()
+        scales = np.array(scale_rows(trace))
         final, lowest = trace.final_and_lowest_scales()
         assert final.tolist() == scales[-1].tolist()
         assert lowest.tolist() == scales.min(axis=0).tolist()
+
+    def test_an_empty_trace_applied_no_scale(self):
+        trace = Trace((3, 7, 11, 12), 0, 1.5, frozenset({7}), None)
+        final, lowest = trace.final_and_lowest_scales()
+        assert final.tolist() == lowest.tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("steps", [1, 1031])
     @pytest.mark.parametrize("bad", ["below", "above"])
@@ -945,11 +964,6 @@ class TestTraceWriter:
             r"moves it by at most 1 and never below 0",
             tmp_path,
         )
-
-    def test_distrust_cannot_be_written(self):
-        trace = hand_built_trace(10, lap=True, flip_step=None)
-        with pytest.raises(ValueError, match="read-only"):
-            trace.distrust[:] = 0
 
     def test_memory_does_not_grow_with_steps(self):
         def peak_bytes(steps):

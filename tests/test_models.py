@@ -192,7 +192,7 @@ class TestLayout:
         params = init_params(ModelSpec(layer_widths=(4, 3, 2)), make_rng(0))
         assert params.flat.dtype == np.float64
         assert params.flat.flags.c_contiguous
-        params.flat[:] = np.arange(params.n_values())
+        params.flat[:] = np.arange(params.flat.size)
         np.testing.assert_array_equal(
             np.concatenate([a.ravel() for a in params.arrays]), params.flat
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import registry_history
 from lossadapt.errors import (
     ConfigError,
     DataError,
@@ -75,22 +76,25 @@ class TestRegistryBookkeeping:
         reg = SourceRegistry([0], params=LapParams(history_length=3))
         for v in [1.0, 2.0, 3.0, 4.0]:
             reg.record_loss(0, v)
-        np.testing.assert_array_equal(reg.history(0), [2.0, 3.0, 4.0])
+        # 2, 3 and 4 are the only three of the four that sum to 9
+        assert reg.source_mean(0) == 3.0
 
     def test_partial_history_in_order(self):
         reg = SourceRegistry([0, 1], params=LapParams(history_length=4))
         reg.record_loss(0, 5.0)
         reg.record_loss(0, 6.0)
-        np.testing.assert_array_equal(reg.history(0), [5.0, 6.0])
-        assert reg.history_len(0) == 2
-        assert reg.history_len(1) == 0
+        assert registry_history(reg, 0) == [5.0, 6.0]
+        with pytest.raises(StateError, match="source 0 holds 2 of 4 entries"):
+            reg.source_mean(0)
+        with pytest.raises(StateError, match="source 1 holds 0 of 4 entries"):
+            reg.source_mean(1)
 
     def test_unknown_source_rejected(self):
         reg = SourceRegistry([0, 1])
         with pytest.raises(UnknownSourceError):
             reg.record_loss(7, 1.0)
         with pytest.raises(UnknownSourceError):
-            reg.distrust(7)
+            reg.depression(7)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):
@@ -249,21 +253,19 @@ class TestDistrustWalk:
             params=LapParams(history_length=h),
         )
         reg.record_loss(2, 9.0)
-        assert reg.distrust(2) == 1.0
-        assert reg.distrust(0) == 0.0
-        assert reg.distrust(1) == 0.0
+        assert reg.distrust_levels.tolist() == [0.0, 0.0, 1.0]
 
     def test_no_update_until_all_full(self):
         reg = SourceRegistry([0, 1], params=LapParams(history_length=2))
         reg.record_loss(0, 9.0)
         reg.record_loss(0, 9.0)
         reg.record_loss(0, 9.0)  # source 1 still empty
-        assert reg.distrust(0) == 0.0
+        assert reg.distrust_levels[0] == 0.0
         reg.record_loss(1, 1.0)
         reg.record_loss(1, 1.0)  # buffers now full -> update fires for 1
-        assert reg.distrust(1) == 0.0
+        assert reg.distrust_levels[1] == 0.0
         reg.record_loss(0, 9.0)
-        assert reg.distrust(0) == 1.0
+        assert reg.distrust_levels[0] == 1.0
 
     @given(
         k=st.integers(min_value=1, max_value=30),
@@ -275,7 +277,7 @@ class TestDistrustWalk:
         reg = self.make([1.0, 1.0], [5.0, 5.0], distrust={0: float(start)})
         for _ in range(k):
             reg.update_distrust(0)
-        assert reg.distrust(0) == float(max(start - k, 0))
+        assert reg.distrust_levels[0] == float(max(start - k, 0))
 
 
 class TestDepression:
@@ -385,9 +387,9 @@ class TestSeparation:
         updates = steps - warm
         for s in range(n):
             if s in corrupt:
-                assert reg.distrust(s) > 0.9 * updates
+                assert reg.distrust_levels[s] > 0.9 * updates
             else:
-                assert reg.distrust(s) < 10.0
+                assert reg.distrust_levels[s] < 10.0
 
     def test_recovered_source_walks_back_down(self):
         rng = np.random.default_rng(11)
@@ -397,12 +399,12 @@ class TestSeparation:
             for s in range(4):
                 mu = 4.0 if s == 0 else 1.0
                 reg.record_loss(s, rng.normal(mu, 1.0))
-        peak = reg.distrust(0)
+        peak = float(reg.distrust_levels[0])
         assert peak > 80.0
         for t in range(150):
             for s in range(4):
                 reg.record_loss(s, rng.normal(1.0, 1.0))
-        assert reg.distrust(0) == 0.0
+        assert reg.distrust_levels[0] == 0.0
 
 
 
@@ -474,7 +476,7 @@ class TestNaiveOracle:
         for s, loss in steps:
             reg.record_loss(s, loss)
             naive.record(s, loss)
-            assert tuple(reg.distrust(j) for j in range(n)) == tuple(naive.distrust)
+            assert tuple(reg.distrust_levels.tolist()) == tuple(naive.distrust)
             assert 1.0 - reg.depression(s) == naive.scale(s)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossadapt.errors import ConfigError
+from lossadapt.rng import child_rng
 from lossadapt.walkers import (
     WALKER_CSV_COLUMNS,
     WalkerConfig,
@@ -16,6 +17,15 @@ from lossadapt.walkers import (
     simulate_walkers,
     write_walker_csv,
 )
+
+
+def walker_steps(config, shift, leniency):
+    """Each walker's ±1 steps, from the draws its documented stream gives."""
+    samples = np.array([
+        child_rng(config.seed, w).normal(shift, 1.0, config.n_steps)
+        for w in range(config.n_walkers)
+    ])
+    return np.where(samples > leniency, 1, -1)
 
 
 def naive_walk(steps):
@@ -66,10 +76,13 @@ class TestIncrementProbability:
         )
         rows = simulate_walkers(config)
         for row in rows:
+            steps = walker_steps(config, 1.0, row.leniency)
+            final = clamped_walk(steps)[:, -1]
+            assert row.mean_distrust == float(final.astype(np.float64).mean())
             p = expected_increment_probability(row.leniency, 1.0)
             # 100k samples: 5 sigma of a Bernoulli mean
             tol = 5 * math.sqrt(p * (1 - p) / (50 * 2000))
-            assert row.increment_fraction == pytest.approx(p, abs=tol)
+            assert (steps == 1).mean() == pytest.approx(p, abs=tol)
 
 
 class TestEnsembleBehavior:
@@ -88,7 +101,6 @@ class TestEnsembleBehavior:
         )
         assert rows[0].mean_distrust == 0.0
         assert rows[0].mean_depression == 0.0
-        assert rows[0].increment_fraction == 0.0
 
     def test_shifted_walkers_accumulate_distrust(self):
         rows = simulate_walkers(
@@ -129,12 +141,14 @@ class TestEnsembleBehavior:
         assert finals == sorted(finals)
 
     def test_time_average_at_most_peakish(self):
-        rows = simulate_walkers(
-            WalkerConfig(mean_shifts=(2.0,), n_walkers=20, n_steps=1000,
-                         leniencies=(0.5,), seed=0)
-        )
+        config = WalkerConfig(mean_shifts=(2.0,), n_walkers=20, n_steps=1000,
+                              leniencies=(0.5,), seed=0)
+        rows = simulate_walkers(config)
+        walks = clamped_walk(walker_steps(config, 2.0, 0.5))
+        final = walks[:, -1].astype(np.float64)
+        assert rows[0].mean_distrust == float(final.mean())
         # steady positive drift: time average is about half the final value
-        assert 0.0 < rows[0].mean_time_avg_distrust < rows[0].mean_distrust
+        assert 0.0 < walks.mean() < rows[0].mean_distrust
 
     def test_deterministic(self):
         config = WalkerConfig(mean_shifts=(1.0,), n_walkers=10, n_steps=500,
