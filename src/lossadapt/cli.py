@@ -178,6 +178,20 @@ def _cmd_walkers(args) -> int:
     return 0
 
 
+def _trace_rows(path):
+    """The rows of a trace CSV as dicts; ValueError on other columns or on a
+    row with more or fewer cells than the header."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if set(reader.fieldnames or ()) != set(TRACE_CSV_COLUMNS):
+            raise ValueError("not the trace columns")
+        for row in reader:
+            # DictReader keys extra cells by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError("a row is not the header's length")
+            yield row
+
+
 def _cmd_inspect_trace(args) -> int:
     path = Path(args.trace)
     if not path.exists():
@@ -187,22 +201,18 @@ def _cmd_inspect_trace(args) -> int:
     per_source: dict[int, list] = {}
     # two streamed passes: the first finds the last step, the second sums
     # each source's rows from the cutoff on, in file order. A directory, other
-    # columns, no rows or a cell that does not parse is no trace CSV.
+    # columns, no rows, a row of the wrong length or a cell that does not
+    # parse is no trace CSV.
     try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if set(reader.fieldnames or ()) != set(TRACE_CSV_COLUMNS):
-                raise ValueError("not the trace columns")
-            last_step = max(int(r["step"]) for r in reader)
+        last_step = max(int(r["step"]) for r in _trace_rows(path))
         cutoff = last_step - args.last + 1
-        with open(path, newline="") as fh:
-            for r in csv.DictReader(fh):
-                if int(r["step"]) >= cutoff:
-                    sums = per_source.setdefault(int(r["source_id"]), [0, 0, 0, ""])
-                    sums[0] += 1
-                    sums[1] += float(r["distrust"])
-                    sums[2] += float(r["gradient_scale"])
-                    sums[3] = r["is_corrupt"]
+        for r in _trace_rows(path):
+            if int(r["step"]) >= cutoff:
+                sums = per_source.setdefault(int(r["source_id"]), [0, 0, 0, ""])
+                sums[0] += 1
+                sums[1] += float(r["distrust"])
+                sums[2] += float(r["gradient_scale"])
+                sums[3] = r["is_corrupt"]
     except (IsADirectoryError, ValueError):
         print(f"error: {path} is not a trace CSV", file=sys.stderr)
         return 2

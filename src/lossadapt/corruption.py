@@ -127,14 +127,18 @@ def split_into_sources(
     )
 
 
-def _shuffle_chunks(x_item: np.ndarray, spec: CorruptionSpec,
-                    rng: np.random.Generator) -> np.ndarray:
-    length = len(x_item)
-    if spec.n_chunks > length:
+def check_chunks_fit(n_chunks: int, n_features: int) -> None:
+    """Refuse to cut an input of ``n_features`` into more chunks than that."""
+    if n_chunks > n_features:
         raise ConfigError(
-            f"sources.n_chunks {spec.n_chunks} exceeds the {length} "
+            f"sources.n_chunks {n_chunks} exceeds the {n_features} "
             "features of an input"
         )
+
+
+def _shuffle_chunks(x_item: np.ndarray, spec: CorruptionSpec,
+                    rng: np.random.Generator) -> np.ndarray:
+    check_chunks_fit(spec.n_chunks, len(x_item))
     chunks = np.array_split(x_item, spec.n_chunks)
     order = rng.permutation(spec.n_chunks)
     return np.concatenate([chunks[i] for i in order])

@@ -26,7 +26,13 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .config import serialize_config
-from .corruption import SourcePlan, apply_corruption, split_into_sources
+from .corruption import (
+    CHUNK_SHUFFLE,
+    SourcePlan,
+    apply_corruption,
+    check_chunks_fit,
+    split_into_sources,
+)
 from .datasets import (
     Dataset,
     load_csv_dataset,
@@ -187,7 +193,6 @@ class RunResult:
     seed: int
     records: list[MetricsRecord]
     trace: Trace
-    corrupt_source_ids: frozenset[int]
     final_distrust: dict[int, float]
 
     def final_accuracy(self, split: str) -> float:
@@ -243,6 +248,16 @@ def _check_model_fits(config: ExperimentConfig, dataset: Dataset) -> None:
             f"model.layer_widths ends at {config.model.n_classes} classes "
             f"but the dataset has {dataset.n_classes}"
         )
+    # refused before step 0 when some batch can be chunk-shuffled
+    sources = config.sources
+    if (
+        sources.mode == CHUNK_SHUFFLE
+        and sources.n_corrupt > 0
+        and not sources.exclude_corrupt_from_training
+        and sources.corruption_rate > 0
+        and sources.reliability_flip_step != 0
+    ):
+        check_chunks_fit(sources.n_chunks, dataset.n_features)
 
 
 def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
@@ -361,7 +376,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         seed=seed,
         records=records,
         trace=trace,
-        corrupt_source_ids=prep.plan.corrupt_source_ids,
         final_distrust=registry.snapshot(),
     )
 

@@ -24,10 +24,9 @@ Depression stays 0 during warm-up (until every buffer is full) and for the
 first ``hold_off`` steps afterwards; losses are recorded throughout.
 
 The registry keeps each source's weight 1/(1 + distrust) beside its distrust,
-refreshed whenever ``update_distrust`` or ``set_distrust`` writes a level. The
-peer statistics take two passes over the peers' histories, which are gathered
-into scratch the registry allocates once; the weighted products are formed in
-place there.
+refreshed whenever ``update_distrust`` writes a level. The peer statistics
+take two passes over the peers' histories, which are gathered into scratch
+the registry allocates once; the weighted products are formed in place there.
 """
 
 from __future__ import annotations
@@ -130,34 +129,6 @@ class SourceRegistry:
         self.all_full = False
         self.steps_since_full = 0
 
-    @classmethod
-    def from_histories(
-        cls,
-        histories: dict[int, list[float]],
-        params: LapParams | None = None,
-        distrust: dict[int, float] | None = None,
-    ) -> "SourceRegistry":
-        """Build a registry from already-logged losses (offline analysis).
-
-        Every history must hold exactly ``history_length`` values. Distrust
-        levels default to 0.
-        """
-        reg = cls(sorted(histories), params=params)
-        h = reg.params.history_length
-        for s, losses in histories.items():
-            if len(losses) != h:
-                raise ConfigError(
-                    f"history for source {s} has {len(losses)} entries, "
-                    f"expected exactly {h}"
-                )
-            row = reg._row[s]
-            reg._losses[row] = np.asarray(losses, dtype=np.float64)
-            reg._counts[row] = h
-        reg.all_full = True
-        for s, r in (distrust or {}).items():
-            reg.set_distrust(s, r)
-        return reg
-
     # -- bookkeeping ------------------------------------------------------
 
     @property
@@ -181,12 +152,6 @@ class SourceRegistry:
         """Every source's distrust, in registration order, as a read-only
         view that follows the registry's updates."""
         return self._distrust_view
-
-    def set_distrust(self, source: int, value: float) -> None:
-        """Overwrite a source's distrust level (analysis/testing hook)."""
-        if value < 0:
-            raise ConfigError(f"distrust must be >= 0, got {value}")
-        self._set_level(self._require(source), float(value))
 
     def _set_level(self, row: int, level: float) -> None:
         self._distrust[row] = level

@@ -28,9 +28,10 @@ import numpy as np
 import pytest
 
 import conftest
-
+from conftest import fit_overhead_linear, full_registry, overhead_scaling_table
 from lossadapt.config import config_from_dict
 from lossadapt.experiment import (
+    prepare_run,
     run_experiment,
     run_single,
 )
@@ -40,13 +41,8 @@ from lossadapt.models import (
     loss_and_backward,
 )
 from lossadapt.rng import make_rng
-from lossadapt.trust import LapParams, SourceRegistry
+from lossadapt.trust import LapParams
 from lossadapt.walkers import WalkerConfig, simulate_walkers
-
-# the trust-cost timer lives in the script that reports it
-_overhead = conftest.load_script("run_overhead_scaling")
-overhead_scaling_table = _overhead.overhead_scaling_table
-fit_overhead_linear = _overhead.fit_overhead_linear
 
 SEEDS = tuple(range(10))
 
@@ -181,7 +177,7 @@ def test_criterion_02_weighted_statistics_oracle():
             for s in range(n_sources)
         }
         distrust = {s: float(rng.integers(0, 50)) for s in range(n_sources)}
-        registry = SourceRegistry.from_histories(
+        registry = full_registry(
             histories,
             params=LapParams(history_length=h),
             distrust=distrust,
@@ -253,7 +249,8 @@ def test_criterion_04_source_identification(lap_runs):
         ids = sorted(final_scales)
         scales = np.array([final_scales[s] for s in ids])
         bottom = {ids[i] for i in np.argsort(scales)[:4]}
-        corrupt = set(result.corrupt_source_ids)
+        corrupt = set(prepare_run(_identification_config(), result.seed)
+                      .plan.corrupt_source_ids)
         corrupt_scales = [final_scales[s] for s in corrupt]
         clean_scales = [
             final_scales[s] for s in ids if s not in corrupt
@@ -341,7 +338,7 @@ def test_criterion_07_recovery_after_flip():
     finals = []
     for seed in SEEDS:
         result = run_single(cfg, seed)
-        flipped = result.corrupt_source_ids
+        flipped = prepare_run(cfg, seed).plan.corrupt_source_ids
         final_scales = dict(zip(result.trace.source_ids,
                                 result.trace.final_and_lowest_scales()[0].tolist()))
         mean_scale = float(

@@ -232,13 +232,13 @@ def _written(path, data):
     return path
 
 
-def _unparsable_trace(tmp_path):
-    p = tmp_path / "trace.csv"
-    with open(p, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, TRACE_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerow({**dict.fromkeys(TRACE_CSV_COLUMNS, "0"), "step": "x"})
-    return ["inspect-trace", str(p)]
+def _trace_args(row):
+    """inspect-trace on a file of the trace header and the one ``row``."""
+    def make_args(tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text(",".join(TRACE_CSV_COLUMNS) + "\n" + row + "\n")
+        return ["inspect-trace", str(p)]
+    return make_args
 
 
 @pytest.mark.parametrize("make_args, code, message", [
@@ -270,8 +270,12 @@ def _unparsable_trace(tmp_path):
                  1, "File exists", id="walkers-out-is-a-file"),
     pytest.param(lambda tmp: ["inspect-trace", str(tmp)], 2,
                  "is not a trace CSV", id="trace-is-a-directory"),
-    pytest.param(_unparsable_trace, 2, "is not a trace CSV",
+    pytest.param(_trace_args("x,0,0,0,0"), 2, "is not a trace CSV",
                  id="trace-step-does-not-parse"),
+    pytest.param(_trace_args("0,0,1"), 2, "is not a trace CSV",
+                 id="trace-row-too-short"),
+    pytest.param(_trace_args("0,0,0,1,0,7"), 2, "is not a trace CSV",
+                 id="trace-row-too-long"),
 ])
 def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
                                           capsys):

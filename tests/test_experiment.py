@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import planned_steps, replay, scale_rows
+from conftest import (
+    fit_overhead_linear,
+    overhead_scaling_table,
+    planned_steps,
+    replay,
+    scale_rows,
+)
 
 from lossadapt import cli, experiment, optim
 from lossadapt.config import config_from_dict, load_config, serialize_config
@@ -35,8 +41,6 @@ from lossadapt.experiment import (
 from lossadapt.models import evaluate
 from lossadapt.trust import SourceRegistry
 from test_acceptance import _identification_config
-
-overhead = conftest.load_script("run_overhead_scaling")
 
 
 def small_config(**overrides):
@@ -83,7 +87,8 @@ class TestRunSingle:
         scales = np.array(scale_rows(trace))
         assert ((scales > 0.0) & (scales <= 1.0)).all()
         assert (trace.level >= 0).all()
-        corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
+        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        corrupt = [s in planned for s in trace.source_ids]
         assert trace.corrupt.tolist() == corrupt
 
     def test_round_robin_fairness(self):
@@ -158,7 +163,7 @@ class TestRunSingle:
         config = small_config()
         a = run_single(config, 5)
         b = run_single(config, 5)
-        assert a.corrupt_source_ids == b.corrupt_source_ids
+        assert a.trace.corrupt.tolist() == b.trace.corrupt.tolist()
         assert (a.trace.final_and_lowest_scales()[0].tolist()
                 == b.trace.final_and_lowest_scales()[0].tolist())
         assert [r.accuracy for r in a.records] == [r.accuracy for r in b.records]
@@ -179,6 +184,31 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="classes"):
             run_single(config, 0)
 
+    def test_too_many_chunks_refused_before_step_0(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step trained")
+
+        monkeypatch.setattr(experiment, "loss_and_backward", no_step)
+        config = small_config(sources={"mode": "chunk_shuffle"})
+        with pytest.raises(ConfigError, match="^sources.n_chunks 4 exceeds "
+                                              "the 2 features of an input$"):
+            run_single(config, 0)
+
+    @pytest.mark.parametrize("sources", [
+        {"n_chunks": 2},
+        {"n_corrupt": 0},
+        {"corruption_rate": 0.0},
+        {"reliability_flip_step": 0},
+        {"exclude_corrupt_from_training": True},
+    ], ids=["chunks-fit", "no-corrupt-source", "rate-0", "flip-at-0",
+            "corrupt-excluded"])
+    def test_too_many_chunks_run_when_no_batch_is_shuffled(self, sources):
+        config = small_config(
+            sources={"mode": "chunk_shuffle", "n_chunks": 4, **sources}
+        )
+        result = run_single(config, 0)
+        assert len(result.trace.level) == planned_steps(config)
+
 
 class TestFlipAndFlags:
     def test_reliability_flip_column(self):
@@ -195,10 +225,11 @@ class TestFlipAndFlags:
         steps = np.arange(len(trace.level))
         is_corrupt = trace.corrupt & (steps[:, None] < trace.clean_from)
         before_flip = steps < 10
+        planned = prepare_run(config, 0).plan.corrupt_source_ids
         for column, source in enumerate(trace.source_ids):
-            expected = before_flip & (source in result.corrupt_source_ids)
+            expected = before_flip & (source in planned)
             np.testing.assert_array_equal(is_corrupt[:, column], expected)
-        corrupt = [s in result.corrupt_source_ids for s in trace.source_ids]
+        corrupt = [s in planned for s in trace.source_ids]
         assert trace.corrupt.tolist() == corrupt
         assert trace.clean_from == 10
         assert (is_corrupt[:10] == corrupt).all()
@@ -250,7 +281,8 @@ class TestFlipAndFlags:
             assert trace.depressed_from == steps
 
         assert trace.clean_from == flip
-        is_corrupt = [s in result.corrupt_source_ids for s in sources]
+        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        is_corrupt = [s in planned for s in sources]
         assert corrupted == [
             i for i, c in enumerate(is_corrupt) if c and i < trace.clean_from
         ]
@@ -270,7 +302,7 @@ class TestFlipAndFlags:
             },
         )
         result = run_single(config, 2)
-        corrupt = next(iter(result.corrupt_source_ids))
+        (corrupt,) = prepare_run(config, 2).plan.corrupt_source_ids
         trace = result.trace
         peak = trace.level[trace.column == trace.source_ids.index(corrupt)].max()
         final = result.final_distrust[corrupt]
@@ -289,7 +321,9 @@ class TestFlipAndFlags:
         result = run_single(config, 0)
         traced = result.trace.source_ids
         assert len(traced) == 3
-        assert set(traced).isdisjoint(result.corrupt_source_ids)
+        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        assert len(planned) == 2
+        assert set(traced).isdisjoint(planned)
         assert set(result.trace.column.tolist()) == {0, 1, 2}
         assert result.trace.final_and_lowest_scales()[0].shape == (3,)
         assert set(traced) == set(result.final_distrust)
@@ -615,7 +649,7 @@ class TestSweep:
 
 class TestOverhead:
     def test_table_covers_grid(self):
-        table = overhead.overhead_scaling_table(
+        table = overhead_scaling_table(
             source_grid=(3, 5), history_grid=(5, 10), n_steps=30, repeats=1
         )
         assert len(table) == 4
@@ -624,7 +658,7 @@ class TestOverhead:
 
     def test_fit_recovers_perfect_line(self):
         table = [(s, h, 1e-6 + 2e-9 * s * h) for s in (5, 10) for h in (25, 50)]
-        slope, intercept, r2 = overhead.fit_overhead_linear(table)
+        slope, intercept, r2 = fit_overhead_linear(table)
         assert slope == pytest.approx(2e-9, rel=1e-6)
         assert intercept == pytest.approx(1e-6, rel=1e-4)
         assert r2 == pytest.approx(1.0, abs=1e-12)

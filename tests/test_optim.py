@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import registry_history
+from conftest import full_registry, registry_history
 from lossadapt import optim
 from lossadapt.errors import ConfigError, ShapeError
 from lossadapt.models import GradientSet, ParameterSet
@@ -126,11 +126,9 @@ class TestAdam:
             Adam(**kwargs)
 
 
-def full_registry(n_sources, h, distrust=None):
-    histories = {s: [1.0] * h for s in range(n_sources)}
-    return SourceRegistry.from_histories(
-        histories, params=LapParams(history_length=h), distrust=distrust
-    )
+# two full histories of constant loss 1.0, at history length 2
+FLAT = {0: [1.0, 1.0], 1: [1.0, 1.0]}
+H2 = LapParams(history_length=2)
 
 
 class TestLapOptimizer:
@@ -143,7 +141,7 @@ class TestLapOptimizer:
 
     def test_depressed_source_moves_less(self):
         # spread in the reference histories so a low recorded loss decrements
-        reg = SourceRegistry.from_histories(
+        reg = full_registry(
             {0: [2.0, 2.0], 1: [1.0, 3.0], 2: [2.0, 2.0]},
             params=LapParams(history_length=2),
             distrust={2: 500.0},
@@ -160,8 +158,7 @@ class TestLapOptimizer:
         assert moved_depr < 0.05 * moved_clean
 
     def test_disabled_wrapper_matches_bare_optimizer(self):
-        h = 2
-        reg = full_registry(2, h, distrust={0: 500.0})
+        reg = full_registry(FLAT, H2, distrust={0: 500.0})
         p_wrapped = params_of([[1.0, -2.0]])
         p_bare = params_of([[1.0, -2.0]])
         g = GradientSet(p_wrapped.names, [np.array([[0.3, 0.7]])])
@@ -189,9 +186,8 @@ class TestLapOptimizer:
         np.testing.assert_array_equal(p_wrapped.arrays[0], p_bare.arrays[0])
 
     def test_adam_moments_see_scaled_gradients(self):
-        h = 2
-        reg_hot = full_registry(2, h, distrust={0: 2000.0})
-        reg_cold = full_registry(2, h)
+        reg_hot = full_registry(FLAT, H2, distrust={0: 2000.0})
+        reg_cold = full_registry(FLAT, H2)
         inner_hot = Adam(learning_rate=0.01)
         inner_cold = Adam(learning_rate=0.01)
         p1 = params_of([0.0])
@@ -205,8 +201,7 @@ class TestLapOptimizer:
         assert abs(hot_m[0][0]) < 0.01 * abs(cold_m[0][0])
 
     def test_returned_scale_matches_registry(self):
-        h = 2
-        reg = full_registry(2, h, distrust={0: 200.0})
+        reg = full_registry(FLAT, H2, distrust={0: 200.0})
         opt = LapOptimizer(SGD(learning_rate=0.1), reg)
         p = params_of([1.0])
         # record_loss moves distrust by one step before depression is read
@@ -341,7 +336,9 @@ def test_lap_adam_is_bit_identical_to_scaled_per_array_rule(monkeypatch):
         start = random_arrays(np.random.default_rng(2), shapes)
         params = ParameterSet(tuple(f"w{i}" for i in range(len(start))), start)
         ref_params = [a.copy() for a in start]
-        lap = LapOptimizer(Adam(0.01), full_registry(2, 2, distrust={0: 200.0}))
+        lap = LapOptimizer(
+            Adam(0.01), full_registry(FLAT, H2, distrust={0: 200.0})
+        )
         ref = ReferenceAdam(0.01)
         for grads in gradient_stream(3, shapes):
             scale = lap.step(params, GradientSet(params.names, grads), 9.0, 0)

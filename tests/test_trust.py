@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import registry_history
+from conftest import full_registry, registry_history
 from lossadapt.errors import (
     ConfigError,
     DataError,
@@ -20,10 +20,6 @@ from lossadapt.trust import (
     depression_value,
     scale_gradients,
 )
-
-
-def full_registry(histories, params=None, distrust=None):
-    return SourceRegistry.from_histories(histories, params=params, distrust=distrust)
 
 
 def brute_force_other_stats(histories, distrust, exclude, leniency=None):
@@ -125,12 +121,6 @@ class TestRegistryBookkeeping:
         reg.record_loss(0, 2.0)
         with pytest.raises(ConfigError):
             reg.weighted_other_stats(0)
-
-    def test_from_histories_requires_exact_length(self):
-        with pytest.raises(ConfigError):
-            SourceRegistry.from_histories(
-                {0: [1.0], 1: [1.0, 2.0]}, params=LapParams(history_length=2)
-            )
 
 
 class TestWeightedStats:
@@ -315,7 +305,7 @@ class TestDepression:
 
     def test_zero_until_all_full(self):
         reg = SourceRegistry([0, 1], params=LapParams(history_length=2))
-        reg.set_distrust(0, 300.0)
+        reg._set_level(0, 300.0)
         assert reg.depression(0) == 0.0
         assert 1.0 - reg.depression(0) == 1.0
 
@@ -548,7 +538,7 @@ def registry_calls(draw):
         histories = distrust = None
     call = st.one_of(
         st.tuples(st.just("record_loss"), source, loss),
-        st.tuples(st.just("set_distrust"), source, level),
+        st.tuples(st.just("_set_level"), source, level),
     )
     return n, h, histories, distrust, draw(st.lists(call, max_size=60))
 
@@ -565,5 +555,42 @@ class TestCachedWeights:
             reg = full_registry(histories, params=params, distrust=distrust)
         assert_stats_match_levels(reg)
         for name, source, value in steps:
+            # the ids are range(n), so a source id is also its row
             getattr(reg, name)(source, value)
             assert_stats_match_levels(reg)
+
+
+class TestFullRegistryOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_is_the_state_a_warmed_registry_reaches(self, seed):
+        # warm a registry through record_loss with exactly history_length
+        # losses per source, in a random order; the oracle built from the
+        # same histories and levels must answer and walk as it does
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        h = int(rng.integers(2, 9))
+        params = LapParams(history_length=h)
+        centres = rng.uniform(0.0, 3.0, n)
+        warmed = SourceRegistry(range(n), params=params)
+        for s in rng.permutation(np.repeat(np.arange(n), h)).tolist():
+            warmed.record_loss(s, rng.normal(centres[s], 0.5))
+        assert warmed.all_full
+        histories = {s: registry_history(warmed, s) for s in range(n)}
+        oracle = full_registry(
+            histories, params,
+            dict(enumerate(warmed.distrust_levels.tolist())),
+        )
+        assert oracle.distrust_levels.tolist() == warmed.distrust_levels.tolist()
+        for s in range(n):
+            assert oracle.weighted_other_stats(s) == warmed.weighted_other_stats(s)
+            assert oracle.source_mean(s) == warmed.source_mean(s)
+            assert oracle.depression(s) == warmed.depression(s)
+        for _ in range(300):
+            s = int(rng.integers(n))
+            loss = float(rng.normal(centres[s], 0.5))
+            warmed.record_loss(s, loss)
+            oracle.record_loss(s, loss)
+            assert (oracle.distrust_levels.tobytes()
+                    == warmed.distrust_levels.tobytes())
+            assert oracle.depression(s) == warmed.depression(s)
+        assert warmed.distrust_levels.any()
