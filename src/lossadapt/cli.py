@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import CONFIG_KEY_DOC, config_from_dict, load_config, read_config_file
 from .errors import LossAdaptError
-from .experiment import TRACE_CSV_COLUMNS, run_experiment, sweep, sweep_text
+from .experiment import TRACE_CSV_COLUMNS, point_text, run_experiment, sweep
 from .walkers import WalkerConfig, simulate_walkers, write_walker_csv
 from .walkers import expected_increment_probability
 
@@ -151,8 +151,8 @@ def _cmd_sweep(args) -> int:
     grid = raw.pop("grid", None) if isinstance(raw, dict) else None
     config = config_from_dict(raw)
     for row in sweep(config, grid):
-        point = " ".join(f"{key}={sweep_text(row[key])}" for key in grid)
-        print(f"{point} acc={row['mean_accuracy']:.4f}±{row['std_accuracy']:.4f}")
+        accuracy = f"{row['mean_accuracy']:.4f}±{row['std_accuracy']:.4f}"
+        print(f"{point_text(row, grid)} acc={accuracy}")
     if config.output_dir:
         print(f"wrote {Path(config.output_dir) / 'sweep.csv'}")
     return 0

@@ -14,7 +14,9 @@ A section is the spec it configures where there is one: ``model`` is a
 ``ModelSpec``, and ``lap``, ``sources`` and ``dataset`` subclass
 ``LapParams``, ``CorruptionSpec`` and ``BlobSpec``, adding only their own
 keys. Each default and each check lives once, on the spec, and runs when the
-config loads.
+config loads. A check that reads two sections lives on ``ExperimentConfig``:
+``chunk_shuffle`` may not cut an input into more chunks than the model has
+inputs. So a config that the config alone shows cannot run never loads.
 
 ``load_config -> serialize_config -> load_config`` is the identity.
 """
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .corruption import CorruptionSpec
+from .corruption import CHUNK_SHUFFLE, CorruptionSpec, check_chunks_fit
 from .datasets import BlobSpec
 from .errors import ConfigError
 from .models import ModelSpec
@@ -174,6 +176,11 @@ class SourceConfig(CorruptionSpec):
                 f"sources.n_corrupt must lie in [0, n_sources), got "
                 f"{self.n_corrupt} of {self.n_sources}"
             )
+        if self.exclude_corrupt_from_training and self.n_sources - self.n_corrupt < 2:
+            raise ConfigError(
+                f"sources.exclude_corrupt_from_training leaves fewer than 2 "
+                f"sources: {self.n_corrupt} of {self.n_sources} are corrupt"
+            )
         if self.reliability_flip_step is not None and self.reliability_flip_step < 0:
             raise ConfigError(
                 f"sources.reliability_flip_step must be >= 0, got "
@@ -224,6 +231,16 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if self.output_dir == "":
             raise ConfigError("output_dir must be a path or null, not ''")
+        # chunk_shuffle's cut must fit an input when some batch can be shuffled
+        sources = self.sources
+        if (
+            sources.mode == CHUNK_SHUFFLE
+            and sources.n_corrupt > 0
+            and not sources.exclude_corrupt_from_training
+            and sources.corruption_rate > 0
+            and sources.reliability_flip_step != 0
+        ):
+            check_chunks_fit(sources.n_chunks, self.model.n_features)
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)

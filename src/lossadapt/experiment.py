@@ -26,13 +26,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .config import serialize_config
-from .corruption import (
-    CHUNK_SHUFFLE,
-    SourcePlan,
-    apply_corruption,
-    check_chunks_fit,
-    split_into_sources,
-)
+from .corruption import SourcePlan, apply_corruption, split_into_sources
 from .datasets import (
     Dataset,
     load_csv_dataset,
@@ -248,16 +242,6 @@ def _check_model_fits(config: ExperimentConfig, dataset: Dataset) -> None:
             f"model.layer_widths ends at {config.model.n_classes} classes "
             f"but the dataset has {dataset.n_classes}"
         )
-    # refused before step 0 when some batch can be chunk-shuffled
-    sources = config.sources
-    if (
-        sources.mode == CHUNK_SHUFFLE
-        and sources.n_corrupt > 0
-        and not sources.exclude_corrupt_from_training
-        and sources.corruption_rate > 0
-        and sources.reliability_flip_step != 0
-    ):
-        check_chunks_fit(sources.n_chunks, dataset.n_features)
 
 
 def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
@@ -276,10 +260,6 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
         source_ids = tuple(
             s for s in range(plan.n_sources) if s not in plan.corrupt_source_ids
         )
-        if len(source_ids) < 2:
-            raise ConfigError(
-                "exclude_corrupt_from_training leaves fewer than 2 sources"
-            )
     else:
         source_ids = tuple(range(plan.n_sources))
 
@@ -472,10 +452,11 @@ def _set_key(raw: dict, key: str, value) -> None:
 def sweep(config: ExperimentConfig, grid) -> list[dict]:
     """Run ``config`` at every point of the Cartesian product of ``grid``, a
     map of dotted config keys to lists of values, in grid order. Every point
-    is loaded by :func:`config_from_dict`, which refuses a key or value by
-    name, before any trains. A row maps each grid key to the point's value,
-    then gives ``n_seeds`` and the mean and std over the seeds of the final
-    test accuracy (val without a test split). The rows are written to
+    is loaded by :func:`config_from_dict` before any trains, so a key, a
+    value or a config that cannot run is refused by name, after the point's
+    ``key=value`` pairs. A row maps each grid key to the point's value, then
+    gives ``n_seeds`` and the mean and std over the seeds of the final test
+    accuracy (val without a test split). The rows are written to
     ``sweep.csv`` in ``config.output_dir`` when that is set."""
     if not isinstance(grid, dict) or not grid:
         raise ConfigError(f"grid: expected a nonempty object, got {grid!r}")
@@ -489,7 +470,14 @@ def sweep(config: ExperimentConfig, grid) -> list[dict]:
         raw = copy.deepcopy(base)
         for key, value in zip(grid, combo):
             _set_key(raw, key, value)
-        points.append((dict(zip(grid, combo)), config_from_dict(raw)))
+        values = dict(zip(grid, combo))
+        try:
+            point = config_from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"grid point {point_text(values, grid)}: {exc}"
+            ) from None
+        points.append((values, point))
     if config.output_dir is not None:
         # made before the first point runs, as run_experiment does
         out = Path(config.output_dir)
@@ -520,6 +508,12 @@ def sweep_text(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return value if isinstance(value, str) else json.dumps(value)
+
+
+def point_text(row: dict, keys) -> str:
+    """The grid point of a sweep row as ``key=value`` pairs, in ``keys``
+    order: ``lap.leniency=0.4 lap.enabled=true``."""
+    return " ".join(f"{key}={sweep_text(row[key])}" for key in keys)
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:

@@ -28,6 +28,17 @@ from lossadapt.trust import LapParams, SourceRegistry, depression_value
 
 VERDICT_LINES: list[str] = []
 
+# ``sources`` overrides under which no batch of a 2-feature chunk_shuffle
+# config with 2 of 5 sources corrupt and 4 chunks is shuffled, so it loads
+# and runs although 4 chunks exceed the features of an input
+UNSHUFFLED_CHUNK_CASES = {
+    "chunks-fit": {"n_chunks": 2},
+    "no-corrupt-source": {"n_corrupt": 0},
+    "rate-0": {"corruption_rate": 0.0},
+    "flip-at-0": {"reliability_flip_step": 0},
+    "corrupt-excluded": {"exclude_corrupt_from_training": True},
+}
+
 
 def file_dataset_sections(tmp_path: Path) -> dict:
     """``dataset`` config sections, by kind, for data files written under

@@ -194,6 +194,21 @@ class TestRunCommand:
             recovered_any |= bool((lowest[corrupt] < final[corrupt] - 0.5).any())
         assert flagged_any and recovered_any
 
+    @pytest.mark.parametrize("sources, message", [
+        ({"mode": "chunk_shuffle"},
+         "sources.n_chunks 4 exceeds the 2 features of an input"),
+        ({"n_corrupt": 3, "exclude_corrupt_from_training": True},
+         "sources.exclude_corrupt_from_training leaves fewer than 2 sources: "
+         "3 of 4 are corrupt"),
+    ], ids=["too-many-chunks", "exclusion-leaves-one-source"])
+    def test_config_that_cannot_run_makes_no_output_dir(self, sources, message,
+                                                       tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, sources=sources, output_dir=str(out))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_config_error_is_reported_not_raised(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"sources": {"n_sources": 3, "n_corrupt": 3}}))
@@ -306,6 +321,12 @@ def test_unreadable_file_is_an_error_line(make_args, code, message, tmp_path,
                  "lap.lenency: unknown key", id="sweep-typo"),
     pytest.param(lambda tmp: _run_args(tmp, grid={"lap.leniency": [0.8]}),
                  "grid: unknown key", id="run-on-a-sweep-file"),
+    pytest.param(lambda tmp: _sweep_args(tmp, {"sources.n_chunks": [1, 4]},
+                                         sources={"mode": "chunk_shuffle",
+                                                  "n_chunks": 1}),
+                 "error: grid point sources.n_chunks=4: sources.n_chunks 4 "
+                 "exceeds the 2 features of an input",
+                 id="sweep-point-cannot-run"),
     pytest.param(lambda tmp: _walkers_args(tmp, seed=-1, n_steps=10),
                  "seed", id="walkers-negative-seed"),
     pytest.param(lambda tmp: _walkers_args(tmp, mean_shifts=[float("nan")],

@@ -18,7 +18,7 @@ from lossadapt.corruption import CorruptionSpec
 from lossadapt.datasets import BlobSpec, make_blobs
 from lossadapt.errors import ConfigError
 from lossadapt.trust import LapParams
-from conftest import planned_steps
+from conftest import UNSHUFFLED_CHUNK_CASES, planned_steps
 from test_acceptance import SEEDS, _identification_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -301,6 +301,51 @@ class TestValidation:
         match = f"dataset.{key}: only kind {reader} reads it, so kind {raw['kind']}"
         with pytest.raises(ConfigError, match=match):
             config_from_dict({"dataset": raw})
+
+    # a 2-feature chunk_shuffle config with 2 of 5 sources corrupt
+    CHUNK_SHUFFLE = {
+        "model": {"layer_widths": [2, 8, 3]},
+        "sources": {"n_sources": 5, "n_corrupt": 2, "mode": "chunk_shuffle"},
+    }
+    CANNOT_RUN = {
+        "too-many-chunks": (
+            CHUNK_SHUFFLE,
+            "^sources.n_chunks 4 exceeds the 2 features of an input$",
+        ),
+        "exclusion-leaves-one-source": (
+            {"sources": {"n_sources": 4, "n_corrupt": 3,
+                         "exclude_corrupt_from_training": True}},
+            "^sources.exclude_corrupt_from_training leaves fewer than 2 "
+            "sources: 3 of 4 are corrupt$",
+        ),
+    }
+
+    @pytest.mark.parametrize("raw, message", CANNOT_RUN.values(),
+                             ids=CANNOT_RUN)
+    def test_config_that_cannot_run_is_refused_at_load(self, raw, message,
+                                                       tmp_path):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, raw))
+
+    def test_replace_refuses_a_config_that_cannot_run(self):
+        raw = self.CHUNK_SHUFFLE
+        config = config_from_dict({**raw, "sources": {**raw["sources"],
+                                                      "n_chunks": 2}})
+        with pytest.raises(ConfigError, match="^sources.n_chunks 4 exceeds"):
+            config.replace(sources=replace(config.sources, n_chunks=4))
+        with pytest.raises(ConfigError, match="leaves fewer than 2 sources"):
+            replace(config.sources, n_corrupt=4,
+                    exclude_corrupt_from_training=True)
+
+    @pytest.mark.parametrize("sources", UNSHUFFLED_CHUNK_CASES.values(),
+                             ids=UNSHUFFLED_CHUNK_CASES)
+    def test_too_many_chunks_load_when_no_batch_is_shuffled(self, sources):
+        raw = self.CHUNK_SHUFFLE
+        config = config_from_dict({**raw, "sources": {**raw["sources"],
+                                                      **sources}})
+        assert config.sources.mode == "chunk_shuffle"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

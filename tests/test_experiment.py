@@ -17,6 +17,7 @@ import pytest
 
 import conftest
 from conftest import (
+    UNSHUFFLED_CHUNK_CASES,
     fit_overhead_linear,
     overhead_scaling_table,
     planned_steps,
@@ -173,7 +174,8 @@ class TestRunSingle:
             optimizer={"kind": "sgd", "learning_rate": 1e12},
             sources={"n_sources": 5, "n_corrupt": 0, "mode": "original"},
         )
-        with pytest.raises(NumericError, match="seed 0, epoch"):
+        with pytest.raises(NumericError, match=r"^seed 0, epoch \d+, step \d+, "
+                                                r"source \d+: "):
             run_single(config, 0)
 
     def test_model_dataset_mismatch_rejected(self):
@@ -189,19 +191,13 @@ class TestRunSingle:
             raise AssertionError("a step trained")
 
         monkeypatch.setattr(experiment, "loss_and_backward", no_step)
-        config = small_config(sources={"mode": "chunk_shuffle"})
         with pytest.raises(ConfigError, match="^sources.n_chunks 4 exceeds "
                                               "the 2 features of an input$"):
+            config = small_config(sources={"mode": "chunk_shuffle"})
             run_single(config, 0)
 
-    @pytest.mark.parametrize("sources", [
-        {"n_chunks": 2},
-        {"n_corrupt": 0},
-        {"corruption_rate": 0.0},
-        {"reliability_flip_step": 0},
-        {"exclude_corrupt_from_training": True},
-    ], ids=["chunks-fit", "no-corrupt-source", "rate-0", "flip-at-0",
-            "corrupt-excluded"])
+    @pytest.mark.parametrize("sources", UNSHUFFLED_CHUNK_CASES.values(),
+                             ids=UNSHUFFLED_CHUNK_CASES)
     def test_too_many_chunks_run_when_no_batch_is_shuffled(self, sources):
         config = small_config(
             sources={"mode": "chunk_shuffle", "n_chunks": 4, **sources}
@@ -586,6 +582,17 @@ class TestSweep:
         pytest.param({"lap.leniency": [0.4, "high"]},
                      "lap.leniency: expected float, got 'high'",
                      id="wrong-type-at-the-second-point"),
+        pytest.param({"sources.mode": ["chunk_shuffle"],
+                      "sources.n_chunks": [1, 2, 4]},
+                     "^grid point sources.mode=chunk_shuffle sources.n_chunks=4: "
+                     "sources.n_chunks 4 exceeds the 2 features of an input$",
+                     id="too-many-chunks-at-the-third-point"),
+        pytest.param({"sources.exclude_corrupt_from_training": [True],
+                      "sources.n_corrupt": [2, 3, 4]},
+                     "^grid point sources.exclude_corrupt_from_training=true "
+                     "sources.n_corrupt=4: sources.exclude_corrupt_from_training "
+                     "leaves fewer than 2 sources: 4 of 5 are corrupt$",
+                     id="exclusion-leaves-one-source-at-the-third-point"),
     ])
     def test_bad_grid_is_refused_by_name_before_training(self, grid, message,
                                                          monkeypatch):
