@@ -16,7 +16,6 @@ from .config import (
 from .corruption import (
     MODES,
     CorruptionSpec,
-    SourcePlan,
     apply_corruption,
     split_into_sources,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "RunResult",
     "SGD",
     "ShapeError",
-    "SourcePlan",
     "SourceRegistry",
     "StateError",
     "Trace",

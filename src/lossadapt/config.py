@@ -16,7 +16,8 @@ A section is the spec it configures where there is one: ``model`` is a
 keys. Each default and each check lives once, on the spec, and runs when the
 config loads. A check that reads two sections lives on ``ExperimentConfig``:
 ``chunk_shuffle`` may not cut an input into more chunks than the model has
-inputs. So a config that the config alone shows cannot run never loads.
+inputs, and blobs may not be dealt into more sources than they have training
+items. So a config that the config alone shows cannot run never loads.
 
 ``load_config -> serialize_config -> load_config`` is the identity.
 """
@@ -28,8 +29,9 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .corruption import CHUNK_SHUFFLE, CorruptionSpec, check_chunks_fit
-from .datasets import BlobSpec
+from .corruption import CHUNK_SHUFFLE, CorruptionSpec
+from .corruption import check_chunks_fit, check_sources_fit
+from .datasets import BlobSpec, n_train_items
 from .errors import ConfigError
 from .models import ModelSpec
 from .optim import SGD, Adam
@@ -241,6 +243,11 @@ class ExperimentConfig:
             and sources.reliability_flip_step != 0
         ):
             check_chunks_fit(sources.n_chunks, self.model.n_features)
+        # blobs fix how many training items the sources share
+        if self.dataset.kind == "blobs":
+            n = self.dataset.n_classes * self.dataset.n_per_class
+            n_train = n_train_items(n, self.training.train_val_ratio)
+            check_sources_fit(n_train, sources.n_sources)
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)

@@ -21,7 +21,7 @@ explicit rng and never mutate their input arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,18 +79,13 @@ class CorruptionSpec:
             )
 
 
-@dataclass(frozen=True)
-class SourcePlan:
-    """A partition of dataset indices into sources, plus which sources are
-    marked unreliable. Assignment covers every index exactly once."""
-
-    n_sources: int
-    corrupt_source_ids: frozenset[int]
-    assignment: np.ndarray = field(repr=False)
-
-    def items_of(self, source: int) -> np.ndarray:
-        """Dataset indices belonging to ``source``."""
-        return np.flatnonzero(self.assignment == source)
+def check_sources_fit(n_items: int, n_sources: int) -> None:
+    """Refuse to deal ``n_items`` training items into more sources than that."""
+    if n_sources > n_items:
+        raise ConfigError(
+            f"sources.n_sources: cannot split {n_items} items into "
+            f"{n_sources} sources"
+        )
 
 
 def split_into_sources(
@@ -98,33 +93,26 @@ def split_into_sources(
     n_sources: int,
     rng: np.random.Generator,
     n_corrupt: int = 0,
-) -> SourcePlan:
-    """Randomly partition ``n_items`` indices into ``n_sources`` near-equal
+) -> tuple[tuple[np.ndarray, ...], frozenset[int]]:
+    """Randomly deal ``n_items`` indices into ``n_sources`` near-equal
     sources (sizes differ by at most 1) and draw ``n_corrupt`` of the sources
-    to be the unreliable ones.
-    """
+    to be the unreliable ones: each source's indices, ascending and indexed
+    by source id, and the corrupt source ids."""
     if n_sources < 2:
         raise ConfigError(f"n_sources must be >= 2, got {n_sources}")
-    if n_sources > n_items:
-        raise ConfigError(
-            f"cannot split {n_items} items into {n_sources} sources"
-        )
+    check_sources_fit(n_items, n_sources)
     if not 0 <= n_corrupt < n_sources:
         raise ConfigError(
             f"n_corrupt must lie in [0, n_sources), got {n_corrupt} "
             f"of {n_sources}"
         )
+    # the i-th index of a random order goes to source i % n_sources
     perm = rng.permutation(n_items)
-    assignment = np.empty(n_items, dtype=np.int64)
-    assignment[perm] = np.arange(n_items) % n_sources
+    items = tuple(np.sort(perm[s::n_sources]) for s in range(n_sources))
     corrupt = frozenset(
         int(s) for s in rng.choice(n_sources, size=n_corrupt, replace=False)
     )
-    return SourcePlan(
-        n_sources=n_sources,
-        corrupt_source_ids=corrupt,
-        assignment=assignment,
-    )
+    return items, corrupt
 
 
 def check_chunks_fit(n_chunks: int, n_features: int) -> None:

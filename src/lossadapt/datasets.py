@@ -259,6 +259,13 @@ def load_csv_dataset(path, n_classes: int | None = None) -> Dataset:
     return Dataset(np.ascontiguousarray(data[:, :-1]), y, n_classes)
 
 
+def n_train_items(n: int, ratio: tuple[int, int]) -> int:
+    """How many of ``n`` items :func:`split_train_val` keeps for training at
+    the train:val ``ratio``: the rest, but at least 1, go to validation."""
+    a, b = ratio
+    return n - max(1, (n * b) // (a + b))
+
+
 def split_train_val(
     dataset: Dataset, rng: np.random.Generator, ratio: tuple[int, int] = (3, 1)
 ) -> tuple[Dataset, Dataset]:
@@ -273,7 +280,7 @@ def split_train_val(
     n = len(dataset)
     if n < 2:
         raise DataError(f"need >= 2 items to split, got {n}")
-    n_val = max(1, (n * b) // (a + b))
+    n_val = n - n_train_items(n, (a, b))
     order = rng.permutation(n)
     x, y = dataset.x, dataset.y
     _permute_rows(np.concatenate((order[n_val:], order[:n_val])), x, y)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .config import serialize_config
-from .corruption import SourcePlan, apply_corruption, split_into_sources
+from .corruption import apply_corruption, split_into_sources
 from .datasets import (
     Dataset,
     load_csv_dataset,
@@ -201,11 +201,10 @@ class PreparedRun:
     """A run's data and step plan, exposed for inspection and tests; the
     model and optimizer are built by :func:`run_single`."""
 
-    seed: int
     train: Dataset
     val: Dataset
     test: Dataset | None
-    plan: SourcePlan
+    corrupt_source_ids: frozenset[int]
     source_ids: tuple[int, ...]
     # each source's training items in source_ids order, upsampled when on
     items: tuple[np.ndarray, ...]
@@ -250,20 +249,17 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
     train, val = split_train_val(
         full, child_rng(seed, _STREAM_SPLIT), config.training.train_val_ratio
     )
-    plan = split_into_sources(
+    dealt, corrupt = split_into_sources(
         len(train),
         config.sources.n_sources,
         child_rng(seed, _STREAM_SOURCES),
         n_corrupt=config.sources.n_corrupt,
     )
+    source_ids = tuple(range(len(dealt)))
     if config.sources.exclude_corrupt_from_training:
-        source_ids = tuple(
-            s for s in range(plan.n_sources) if s not in plan.corrupt_source_ids
-        )
-    else:
-        source_ids = tuple(range(plan.n_sources))
+        source_ids = tuple(s for s in source_ids if s not in corrupt)
 
-    items = [plan.items_of(s) for s in source_ids]
+    items = [dealt[s] for s in source_ids]
     if config.sources.upsample:
         upsample_rng = child_rng(seed, _STREAM_SOURCES, 1)
         target = max(map(len, items))
@@ -272,11 +268,10 @@ def prepare_run(config: ExperimentConfig, seed: int) -> PreparedRun:
                 extra = upsample_rng.choice(own, size=target - len(own))
                 items[i] = np.concatenate([own, extra])
     return PreparedRun(
-        seed=seed,
         train=train,
         val=val,
         test=test,
-        plan=plan,
+        corrupt_source_ids=corrupt,
         source_ids=source_ids,
         items=tuple(items),
         steps_per_epoch=sum(
@@ -299,7 +294,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         prep.source_ids,
         config.training.epochs * prep.steps_per_epoch,
         registry.params.depression_strength,
-        prep.plan.corrupt_source_ids,
+        prep.corrupt_source_ids,
         config.sources.reliability_flip_step,
     )
     # the trace's schedules are the ones the batches follow

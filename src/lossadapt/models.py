@@ -348,7 +348,6 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) of the model on ``(x, y)``."""
     logits = forward(params, spec, x)
-    y = _check_labels(y, spec.n_classes)
-    loss = _mean_nll(log_softmax(logits), _label_entries(spec.n_classes, y))
+    loss = cross_entropy(logits, y)
     accuracy = float((logits.argmax(axis=1) == y).mean())
     return loss, accuracy

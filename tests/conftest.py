@@ -6,10 +6,11 @@ where even direct writes to the underlying stdout would be swallowed.
 
 The oracles rebuild what a run recorded without the package's own readers:
 a trace's distrust and scale matrices by a plain forward fill of its log,
-a run's planned step count from its prepared plan, and a registry's loss
-history from its ring buffer. :func:`full_registry` writes the state a
-registry reaches once its histories fill, and the overhead harness times
-the trust bookkeeping on such registries (criterion 8).
+a run's planned step count from its prepared plan, a training set's
+sources from an assignment vector, and a registry's loss history from its
+ring buffer. :func:`full_registry` writes the state a registry reaches
+once its histories fill, and the overhead harness times the trust
+bookkeeping on such registries (criterion 8).
 """
 
 import csv
@@ -94,6 +95,22 @@ def scale_rows(trace):
 def planned_steps(config, seed=0):
     """The optimizer steps a full run of ``config`` at ``seed`` takes."""
     return config.training.epochs * prepare_run(config, seed).steps_per_epoch
+
+
+def assignment_dealing(n_items, n_sources, rng, n_corrupt=0):
+    """Each source's items and the corrupt source ids, dealt through an
+    assignment vector: the i-th index of ``rng.permutation(n_items)`` is
+    assigned source ``i % n_sources``, and a source's items are the indices
+    assigned to it (``np.flatnonzero``); then ``n_corrupt`` sources are
+    drawn with ``rng.choice``."""
+    perm = rng.permutation(n_items)
+    assignment = np.empty(n_items, dtype=np.int64)
+    assignment[perm] = np.arange(n_items) % n_sources
+    items = [np.flatnonzero(assignment == s) for s in range(n_sources)]
+    corrupt = frozenset(
+        int(s) for s in rng.choice(n_sources, size=n_corrupt, replace=False)
+    )
+    return items, corrupt
 
 
 def registry_history(registry, source):

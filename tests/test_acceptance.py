@@ -250,7 +250,7 @@ def test_criterion_04_source_identification(lap_runs):
         scales = np.array([final_scales[s] for s in ids])
         bottom = {ids[i] for i in np.argsort(scales)[:4]}
         corrupt = set(prepare_run(_identification_config(), result.seed)
-                      .plan.corrupt_source_ids)
+                      .corrupt_source_ids)
         corrupt_scales = [final_scales[s] for s in corrupt]
         clean_scales = [
             final_scales[s] for s in ids if s not in corrupt
@@ -338,7 +338,7 @@ def test_criterion_07_recovery_after_flip():
     finals = []
     for seed in SEEDS:
         result = run_single(cfg, seed)
-        flipped = prepare_run(cfg, seed).plan.corrupt_source_ids
+        flipped = prepare_run(cfg, seed).corrupt_source_ids
         final_scales = dict(zip(result.trace.source_ids,
                                 result.trace.final_and_lowest_scales()[0].tolist()))
         mean_scale = float(

@@ -200,7 +200,9 @@ class TestRunCommand:
         ({"n_corrupt": 3, "exclude_corrupt_from_training": True},
          "sources.exclude_corrupt_from_training leaves fewer than 2 sources: "
          "3 of 4 are corrupt"),
-    ], ids=["too-many-chunks", "exclusion-leaves-one-source"])
+        ({"n_sources": 69},
+         "sources.n_sources: cannot split 68 items into 69 sources"),
+    ], ids=["too-many-chunks", "exclusion-leaves-one-source", "too-many-sources"])
     def test_config_that_cannot_run_makes_no_output_dir(self, sources, message,
                                                        tmp_path, capsys):
         out = tmp_path / "out"

@@ -17,6 +17,7 @@ from lossadapt.config import (
 from lossadapt.corruption import CorruptionSpec
 from lossadapt.datasets import BlobSpec, make_blobs
 from lossadapt.errors import ConfigError
+from lossadapt.experiment import prepare_run
 from lossadapt.trust import LapParams
 from conftest import UNSHUFFLED_CHUNK_CASES, planned_steps
 from test_acceptance import SEEDS, _identification_config
@@ -318,6 +319,11 @@ class TestValidation:
             "^sources.exclude_corrupt_from_training leaves fewer than 2 "
             "sources: 3 of 4 are corrupt$",
         ),
+        "too-many-sources": (
+            {"dataset": {"n_classes": 3, "n_per_class": 4},
+             "sources": {"n_sources": 12}},
+            "^sources.n_sources: cannot split 9 items into 12 sources$",
+        ),
     }
 
     @pytest.mark.parametrize("raw, message", CANNOT_RUN.values(),
@@ -338,6 +344,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="leaves fewer than 2 sources"):
             replace(config.sources, n_corrupt=4,
                     exclude_corrupt_from_training=True)
+
+    @pytest.mark.parametrize("n_per_class, ratio, expected", [
+        (4, (3, 1), 9), (4, (1, 1), 6), (4, (1, 3), 3), (1, (3, 1), 2),
+    ], ids=["3x4-3:1", "3x4-1:1", "3x4-1:3", "3x1-3:1-one-val-item"])
+    def test_blob_sources_are_checked_against_the_training_items(
+        self, n_per_class, ratio, expected
+    ):
+        raw = {
+            "dataset": {"n_classes": 3, "n_per_class": n_per_class},
+            "model": {"layer_widths": [2, 3]},
+            "sources": {"n_sources": 2},
+            "training": {"train_val_ratio": list(ratio)},
+        }
+        n_train = len(prepare_run(config_from_dict(raw), 0).train)
+        assert n_train == expected
+        config = config_from_dict({**raw, "sources": {"n_sources": n_train}})
+        assert config.sources.n_sources == n_train
+        with pytest.raises(ConfigError, match=f"^sources.n_sources: cannot "
+                           f"split {n_train} items into {n_train + 1} sources$"):
+            config_from_dict({**raw, "sources": {"n_sources": n_train + 1}})
 
     @pytest.mark.parametrize("sources", UNSHUFFLED_CHUNK_CASES.values(),
                              ids=UNSHUFFLED_CHUNK_CASES)
@@ -453,9 +479,10 @@ class TestBuilders:
         ).dataset
         assert ds.test_blob_spec().n_per_class == 5
         for n_per_class, expected in ((40, 10), (41, 10), (7, 1), (3, 1)):
-            test_spec = config_from_dict(
-                {"dataset": {"n_per_class": n_per_class}}
-            ).dataset.test_blob_spec()
+            test_spec = config_from_dict({
+                "dataset": {"n_per_class": n_per_class},
+                "sources": {"n_sources": 2},
+            }).dataset.test_blob_spec()
             assert test_spec.n_per_class == expected
             assert type(test_spec) is BlobSpec
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assignment_dealing
 from lossadapt.corruption import (
     BATCH_LEVEL_MODES,
     FEATURE_MODES,
@@ -12,7 +13,6 @@ from lossadapt.corruption import (
     MODES,
     ORIGINAL,
     CorruptionSpec,
-    SourcePlan,
     apply_corruption,
     split_into_sources,
 )
@@ -28,37 +28,60 @@ def demo_batch(n=12, d=8, n_classes=4, seed=0):
 
 class TestSplitIntoSources:
     def test_even_split(self):
-        plan = split_into_sources(100, 10, make_rng(0))
-        np.testing.assert_array_equal(np.bincount(plan.assignment), [10] * 10)
+        items, _ = split_into_sources(100, 10, make_rng(0))
+        assert [len(v) for v in items] == [10] * 10
 
     def test_remainder_lands_on_one_source(self):
-        plan = split_into_sources(101, 10, make_rng(0))
-        sizes = sorted(np.bincount(plan.assignment))
+        items, _ = split_into_sources(101, 10, make_rng(0))
+        sizes = sorted(len(v) for v in items)
         assert sizes == [10] * 9 + [11]
 
     def test_exclusive_and_exhaustive(self):
-        plan = split_into_sources(57, 7, make_rng(3))
-        assert plan.assignment.shape == (57,)
-        assert plan.assignment.min() >= 0
-        assert plan.assignment.max() < 7
-        all_items = np.concatenate([plan.items_of(s) for s in range(7)])
+        items, _ = split_into_sources(57, 7, make_rng(3))
+        assert len(items) == 7
+        all_items = np.concatenate(items)
+        assert all_items.shape == (57,)
         assert sorted(all_items) == list(range(57))
+        for own in items:
+            assert (np.diff(own) > 0).all()
 
     def test_same_seed_identical(self):
-        a = split_into_sources(100, 10, make_rng(5), n_corrupt=4)
-        b = split_into_sources(100, 10, make_rng(5), n_corrupt=4)
-        np.testing.assert_array_equal(a.assignment, b.assignment)
-        assert a.corrupt_source_ids == b.corrupt_source_ids
+        a_items, a_corrupt = split_into_sources(100, 10, make_rng(5), n_corrupt=4)
+        b_items, b_corrupt = split_into_sources(100, 10, make_rng(5), n_corrupt=4)
+        for a, b in zip(a_items, b_items, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert a_corrupt == b_corrupt
 
     def test_assignment_is_randomized(self):
-        a = split_into_sources(100, 10, make_rng(1))
-        b = split_into_sources(100, 10, make_rng(2))
-        assert (a.assignment != b.assignment).any()
+        a_items, _ = split_into_sources(100, 10, make_rng(1))
+        b_items, _ = split_into_sources(100, 10, make_rng(2))
+        assert any((a != b).any() for a, b in zip(a_items, b_items))
 
     def test_corrupt_ids_count_and_range(self):
-        plan = split_into_sources(60, 6, make_rng(0), n_corrupt=3)
-        assert len(plan.corrupt_source_ids) == 3
-        assert all(0 <= s < 6 for s in plan.corrupt_source_ids)
+        _, corrupt = split_into_sources(60, 6, make_rng(0), n_corrupt=3)
+        assert len(corrupt) == 3
+        assert all(0 <= s < 6 for s in corrupt)
+
+    @pytest.mark.parametrize(
+        "n_items,n_sources",
+        [(900, 10), (3000, 10), (1800, 40), (101, 10), (93, 5)],
+        ids=["900-10", "3000-10", "1800-40", "101-10", "93-5"],
+    )
+    def test_items_match_assignment_dealing(self, n_items, n_sources):
+        # the three workloads' training sizes, and two unequal splits
+        for seed in range(5):
+            n_corrupt = seed % n_sources
+            items, corrupt = split_into_sources(
+                n_items, n_sources, make_rng(seed), n_corrupt
+            )
+            expected, expected_corrupt = assignment_dealing(
+                n_items, n_sources, make_rng(seed), n_corrupt
+            )
+            assert len(items) == n_sources
+            for own, want in zip(items, expected):
+                assert own.dtype == want.dtype
+                np.testing.assert_array_equal(own, want)
+            assert corrupt == expected_corrupt
 
     @pytest.mark.parametrize(
         "n_items,n_sources,n_corrupt",

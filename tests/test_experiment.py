@@ -40,6 +40,7 @@ from lossadapt.experiment import (
     write_trace_csv,
 )
 from lossadapt.models import evaluate
+from lossadapt.rng import child_rng
 from lossadapt.trust import SourceRegistry
 from test_acceptance import _identification_config
 
@@ -88,7 +89,7 @@ class TestRunSingle:
         scales = np.array(scale_rows(trace))
         assert ((scales > 0.0) & (scales <= 1.0)).all()
         assert (trace.level >= 0).all()
-        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        planned = prepare_run(config, 0).corrupt_source_ids
         corrupt = [s in planned for s in trace.source_ids]
         assert trace.corrupt.tolist() == corrupt
 
@@ -101,8 +102,11 @@ class TestRunSingle:
             sources={"n_sources": 5, "n_corrupt": 0, "mode": "original"},
         )
         prep = prepare_run(config, 3)
-        for s, items in zip(prep.source_ids, prep.items):
-            np.testing.assert_array_equal(items, prep.plan.items_of(s))
+        dealt, _ = conftest.assignment_dealing(
+            len(prep.train), 5, child_rng(3, experiment._STREAM_SOURCES)
+        )
+        for s, items in zip(prep.source_ids, prep.items, strict=True):
+            np.testing.assert_array_equal(items, dealt[s])
         batch = config.training.batch_size
         per_epoch = [-(-len(v) // batch) for v in prep.items]
         assert max(per_epoch) - min(per_epoch) <= 1
@@ -221,7 +225,7 @@ class TestFlipAndFlags:
         steps = np.arange(len(trace.level))
         is_corrupt = trace.corrupt & (steps[:, None] < trace.clean_from)
         before_flip = steps < 10
-        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        planned = prepare_run(config, 0).corrupt_source_ids
         for column, source in enumerate(trace.source_ids):
             expected = before_flip & (source in planned)
             np.testing.assert_array_equal(is_corrupt[:, column], expected)
@@ -277,7 +281,7 @@ class TestFlipAndFlags:
             assert trace.depressed_from == steps
 
         assert trace.clean_from == flip
-        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        planned = prepare_run(config, 0).corrupt_source_ids
         is_corrupt = [s in planned for s in sources]
         assert corrupted == [
             i for i, c in enumerate(is_corrupt) if c and i < trace.clean_from
@@ -298,7 +302,7 @@ class TestFlipAndFlags:
             },
         )
         result = run_single(config, 2)
-        (corrupt,) = prepare_run(config, 2).plan.corrupt_source_ids
+        (corrupt,) = prepare_run(config, 2).corrupt_source_ids
         trace = result.trace
         peak = trace.level[trace.column == trace.source_ids.index(corrupt)].max()
         final = result.final_distrust[corrupt]
@@ -317,7 +321,7 @@ class TestFlipAndFlags:
         result = run_single(config, 0)
         traced = result.trace.source_ids
         assert len(traced) == 3
-        planned = prepare_run(config, 0).plan.corrupt_source_ids
+        planned = prepare_run(config, 0).corrupt_source_ids
         assert len(planned) == 2
         assert set(traced).isdisjoint(planned)
         assert set(result.trace.column.tolist()) == {0, 1, 2}
@@ -334,14 +338,19 @@ class TestFlipAndFlags:
             training={"epochs": 1, "batch_size": 1},
         )
         prep = prepare_run(config, 0)
-        sizes = {s: len(prep.plan.items_of(s)) for s in prep.source_ids}
-        assert len(set(sizes.values())) > 1
-        target = max(sizes.values())
-        for s, items in zip(prep.source_ids, prep.items):
+        # the split and the upsampling draw from separate substreams, so the
+        # same config without upsampling deals the same sources
+        own_items = prepare_run(
+            config.replace(sources=dc_replace(config.sources, upsample=False)), 0
+        ).items
+        sizes = [len(own) for own in own_items]
+        assert len(set(sizes)) > 1
+        target = max(sizes)
+        for items, own in zip(prep.items, own_items, strict=True):
             # the source's own items first, then draws from them
             assert len(items) == target
-            np.testing.assert_array_equal(items[: sizes[s]], prep.plan.items_of(s))
-            assert set(items.tolist()) == set(prep.plan.items_of(s).tolist())
+            np.testing.assert_array_equal(items[: len(own)], own)
+            assert set(items.tolist()) == set(own.tolist())
         assert prep.steps_per_epoch == len(prep.source_ids) * target
         result = run_single(config, 0)
         assert len(result.trace.level) == prep.steps_per_epoch
@@ -434,6 +443,20 @@ class TestFileDatasets:
             for epoch in range(config.training.epochs)
             for split in splits
         ]
+
+    def test_too_many_sources_for_the_file_refused_before_step_0(
+        self, tmp_path, monkeypatch
+    ):
+        # a file's size is known only once it is read, so the config loads
+        def no_step(*args):
+            raise AssertionError("a step trained")
+
+        monkeypatch.setattr(experiment, "loss_and_backward", no_step)
+        config = self.config(tmp_path, "csv")
+        config = config.replace(sources=dc_replace(config.sources, n_sources=37))
+        with pytest.raises(ConfigError, match="^sources.n_sources: cannot split "
+                                              "36 items into 37 sources$"):
+            run_single(config, 0)
 
     def test_sweep_without_test_split_reads_val_accuracy(self, tmp_path):
         config = self.config(tmp_path, "csv")
@@ -593,6 +616,12 @@ class TestSweep:
                      "sources.n_corrupt=4: sources.exclude_corrupt_from_training "
                      "leaves fewer than 2 sources: 4 of 5 are corrupt$",
                      id="exclusion-leaves-one-source-at-the-third-point"),
+        pytest.param({"dataset.n_per_class": [4], "sources.n_corrupt": [0],
+                      "sources.n_sources": [2, 4, 12]},
+                     "^grid point dataset.n_per_class=4 sources.n_corrupt=0 "
+                     "sources.n_sources=12: sources.n_sources: cannot split 9 "
+                     "items into 12 sources$",
+                     id="too-many-sources-at-the-third-point"),
     ])
     def test_bad_grid_is_refused_by_name_before_training(self, grid, message,
                                                          monkeypatch):
